@@ -1,8 +1,9 @@
 (* The corpus-level checker: classify every top-level binding
    (pure / local-mutating / shared-mutating) over the per-file summaries,
    then enforce the domain-safety rules, the shard-ownership rule and the
-   AST re-implementations of the lexical rules, filtered through typed
-   waiver markers. *)
+   footgun rules (polymorphic compare/hash/equality, Obj.magic, catch-all
+   handlers, module-level mutable state, missing interfaces), filtered
+   through typed waiver markers. *)
 
 open Parsetree
 
@@ -23,6 +24,7 @@ let rules =
     ("obj-magic", "Obj.magic defeats the type system");
     ("catch-all", "a catch-all exception handler swallows every exception");
     ("toplevel-mutable", "module-level mutable state is shared by every domain (lib/ only)");
+    ("missing-mli", "every lib/ module must declare its interface in a companion .mli");
     ("stale-waiver", "a waiver that excuses nothing must be deleted (unwaivable)");
   ]
 
@@ -106,9 +108,14 @@ let subst locals e =
   in
   go 3 e
 
-let analyze_sources sources =
+let analyze_sources ?(has_mli = fun _ -> true) sources =
   let out = ref [] in
   let finding file line rule text = out := { Src.file; line; rule; text } :: !out in
+  List.iter
+    (fun (path, _) ->
+      if Src.in_lib path && not (has_mli path) then
+        finding path 1 "missing-mli" "library module has no .mli")
+    sources;
   let files =
     List.filter_map
       (fun (path, src) ->
@@ -398,16 +405,22 @@ let analyze_sources sources =
   in
   { findings = List.sort Src.compare_finding (kept @ stale); waivers }
 
+let companion_mli path = Filename.remove_extension path ^ ".mli"
+
 let run_tree dirs =
-  analyze_sources (List.map (fun p -> (p, Src.read_file p)) (Src.ml_files dirs))
+  analyze_sources
+    ~has_mli:(fun p -> Sys.file_exists (companion_mli p))
+    (List.map (fun p -> (p, Src.read_file p)) (Src.ml_files dirs))
 
 (* -- Self-test ---------------------------------------------------------------- *)
 
 (* Fixture corpus: every [bad_<rule>*.ml] must produce at least one
    finding, all of them of exactly that rule; every [good_*.ml] must be
    clean; and every rule must be covered by at least one bad fixture.
-   Fixtures whose name mentions toplevel_mutable are analysed under a
-   synthetic lib/ path (that rule is lib-scoped); the rest under bin/. *)
+   Fixtures whose name mentions toplevel_mutable or missing_mli are
+   analysed under a synthetic lib/ path (those rules are lib-scoped); the
+   rest under bin/.  Only missing_mli fixtures are checked against their
+   real companion .mli; the others are taken to have one. *)
 let self_test dir =
   let files = Src.ml_files [ dir ] in
   let ok = ref true in
@@ -429,12 +442,16 @@ let self_test dir =
   List.iter
     (fun path ->
       let base = Filename.remove_extension (Filename.basename path) in
+      let mentions s = Option.is_some (Src.find_sub base s 0) in
       let synth =
-        if Option.is_some (Src.find_sub base "toplevel_mutable" 0) then
+        if mentions "toplevel_mutable" || mentions "missing_mli" then
           "lib/fixture/" ^ base ^ ".ml"
         else "bin/fixture/" ^ base ^ ".ml"
       in
-      let o = analyze_sources [ (synth, Src.read_file path) ] in
+      let has_mli _ =
+        (not (mentions "missing_mli")) || Sys.file_exists (companion_mli path)
+      in
+      let o = analyze_sources ~has_mli [ (synth, Src.read_file path) ] in
       if String.starts_with ~prefix:"bad_" base then begin
         match expected_rule (String.sub base 4 (String.length base - 4)) with
         | None -> fail "%s: cannot derive an expected rule from the name" base

@@ -1,6 +1,8 @@
 (** The corpus-level checker: mutation-effect classification, domain-
-    ownership and shard-escape rules, AST re-implementations of the
-    lexical rules, typed waiver filtering, and the fixture self-test. *)
+    ownership and shard-escape rules, the footgun rules (polymorphic
+    compare/hash/equality, [Obj.magic], catch-all handlers, module-level
+    mutable state, missing interfaces), typed waiver filtering, and the
+    fixture self-test. *)
 
 (** Rule name -> one-line description, in reporting order. *)
 val rules : (string * string) list
@@ -11,11 +13,14 @@ type outcome = {
 }
 
 (** Analyse an explicit corpus of [(path, contents)] sources.  Paths
-    matter: the toplevel-mutable rule is lib/-scoped and module names
-    derive from basenames. *)
-val analyze_sources : (string * string) list -> outcome
+    matter: the toplevel-mutable and missing-mli rules are lib/-scoped
+    and module names derive from basenames.  [has_mli path] tells whether
+    the [.ml] at [path] has a companion interface; it defaults to always
+    true, so an in-memory corpus is never flagged missing-mli. *)
+val analyze_sources : ?has_mli:(string -> bool) -> (string * string) list -> outcome
 
-(** Read and analyse every [.ml] under the given directories. *)
+(** Read and analyse every [.ml] under the given directories, checking
+    each for a companion [.mli] on disk. *)
 val run_tree : string list -> outcome
 
 (** Run the seeded-violation fixture corpus under [dir]; true iff every

@@ -1,11 +1,11 @@
 (* Shared plumbing for the AST checker: findings, file IO, tree walking,
    a strings-only blanker and waiver-marker extraction.
 
-   The blanker is the dual of the lexical linter's stripper: it erases
-   string literals (normal and quoted) but KEEPS comments, because the
-   checker's waiver markers live in comments while the marker text itself
-   must never be discoverable inside a string constant (the checker scans
-   its own source, whose rule tables are string literals). *)
+   The blanker erases string literals (normal and quoted) but KEEPS
+   comments, because the checker's waiver markers live in comments while
+   the marker text itself must never be discoverable inside a string
+   constant (the checker scans its own source, whose rule tables are
+   string literals). *)
 
 type finding = {
   file : string;

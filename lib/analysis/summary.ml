@@ -8,11 +8,10 @@
    substitution) and whether its right-hand side allocates module-level
    mutable state.  Check.ml turns these summaries into findings.
 
-   The walk also emits the AST re-implementations of the lexical rules
-   (poly-compare / poly-hash / poly-equal / obj-magic / catch-all /
-   toplevel-mutable): resolution through [env] and the alias table is
-   what makes them precise where the lexical scan can only pattern-match
-   tokens. *)
+   The walk also emits the footgun rules (poly-compare / poly-hash /
+   poly-equal / obj-magic / catch-all / toplevel-mutable): resolution
+   through [env] and the alias table is what makes them precise where a
+   token scan could only pattern-match names. *)
 
 open Parsetree
 module SMap = Map.Make (String)

@@ -1,7 +1,8 @@
 (** Per-file Parsetree summaries: per top-level binding, the references,
     mutations (with target class and lock state), Pool/Domain task sites,
     parameters and local lets that {!Check} turns into findings.  The walk
-    also emits the AST re-implementations of the lexical rules. *)
+    also emits the footgun rules (poly-compare, poly-hash, poly-equal,
+    obj-magic, catch-all, toplevel-mutable). *)
 
 type vref = { r_mod : string; r_name : string; r_line : int }
 

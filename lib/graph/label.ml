@@ -4,9 +4,9 @@ type t = int
    state.  Interning happens exclusively on the main domain (parsing and
    query registration); shard tasks only read already-interned ints, so
    no synchronisation is needed.  See DESIGN.md "Sharding". *)
-let by_string : (string, int) Hashtbl.t = Hashtbl.create 4096 (* lint: allow; check: allow toplevel-mutable — interner, main domain only *)
-let names : string array ref = ref (Array.make 4096 "") (* lint: allow; check: allow toplevel-mutable — interner, main domain only *)
-let next = ref 0 (* lint: allow; check: allow toplevel-mutable — interner, main domain only *)
+let by_string : (string, int) Hashtbl.t = Hashtbl.create 4096 (* check: allow toplevel-mutable — interner, main domain only *)
+let names : string array ref = ref (Array.make 4096 "") (* check: allow toplevel-mutable — interner, main domain only *)
+let next = ref 0 (* check: allow toplevel-mutable — interner, main domain only *)
 
 let intern s =
   match Hashtbl.find_opt by_string s with
@@ -30,7 +30,7 @@ let of_int i =
   if i < 0 || i >= !next then invalid_arg "Label.of_int: not interned";
   i
 
-let fresh_counter = ref 0 (* lint: allow; check: allow toplevel-mutable — interner, main domain only *)
+let fresh_counter = ref 0 (* check: allow toplevel-mutable — interner, main domain only *)
 
 let rec fresh prefix =
   let candidate = Printf.sprintf "%s#%d" prefix !fresh_counter in

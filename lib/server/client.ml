@@ -36,26 +36,23 @@ let recv ?timeout_s t =
       match Wire.decode payload with
       | Ok msg -> Some msg
       | Error e -> failwith ("Client: bad frame: " ^ e))
-    | Ok None ->
+    | Ok None -> (
+      (* A passed deadline still polls the socket once (timeout 0), so a
+         message already there is returned rather than reported missing. *)
       let wait =
         match deadline with
         | None -> -1.
-        | Some d ->
-          let w = d -. Unix.gettimeofday () in
-          if w <= 0. then 0. else w
+        | Some d -> Float.max 0. (d -. Unix.gettimeofday ())
       in
-      if wait = 0. then None
-      else begin
-        match Unix.select [ t.fd ] [] [] wait with
-        | [], _, _ -> None
-        | _ :: _, _, _ -> (
-          match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
-          | 0 -> raise End_of_file
-          | n ->
-            Frame.feed t.dec t.scratch 0 n;
-            go ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      end
+      match Unix.select [ t.fd ] [] [] wait with
+      | [], _, _ -> None
+      | _ :: _, _, _ -> (
+        match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+        | 0 -> raise End_of_file
+        | n ->
+          Frame.feed t.dec t.scratch 0 n;
+          go ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in
   go ()
 

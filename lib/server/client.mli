@@ -14,7 +14,9 @@ val send : t -> Wire.msg -> unit
 (** Frame, encode and write the whole message (blocking). *)
 
 val recv : ?timeout_s:float -> t -> Wire.msg option
-(** Next message; [None] on timeout (no timeout = block forever).
+(** Next message; [None] on timeout (no timeout = block forever).  The
+    socket is always polled at least once, so [~timeout_s:0.] returns a
+    message that has already arrived.
     @raise End_of_file when the server closed the connection.
     @raise Failure on a framing or decode error. *)
 

@@ -1,18 +1,13 @@
 #!/bin/sh
-# Static-check driver, both layers: the lexical linter and the AST
-# domain-ownership checker.  Each is first proved against its seeded
-# violations (lint's embedded snippets, the checker's fixture corpus
-# under test/fixtures/check), then scans lib/ and bin/.  Any finding
-# fails the build; waivers are per-rule comments ("lint: allow" for the
-# linter, "check: allow <rule>" for the checker).
+# Static-check driver: the AST checker (tric_check).  It is first proved
+# against its seeded-violation fixture corpus (test/fixtures/check), then
+# scans lib/ and bin/.  Any finding fails the build; waivers are per-rule
+# comments ("check: allow <rule>").
 set -eu
 
 cd "$(dirname "$0")/.."
 
-dune build bin/lint.exe bin/tric_check.exe
-
-./_build/default/bin/lint.exe --self-test
-./_build/default/bin/lint.exe "$@"
+dune build bin/tric_check.exe
 
 ./_build/default/bin/tric_check.exe --self-test
 ./_build/default/bin/tric_check.exe "$@"

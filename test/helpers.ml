@@ -89,3 +89,22 @@ let differential ~engine ~queries ~stream =
              engine.Tric_engine.Matcher.name)
         expected actual)
     stream
+
+(* The tric_cli binary dune builds next to the test binary. *)
+let cli_path () =
+  let d = Filename.dirname Sys.executable_name in
+  Filename.concat (Filename.concat d Filename.parent_dir_name)
+    (Filename.concat "bin" "tric_cli.exe")
+
+(* Run tric_cli with [args], output discarded; fails unless it exits 0. *)
+let run_cli args =
+  let bin = cli_path () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () -> Unix.create_process bin (Array.of_list (bin :: args)) Unix.stdin null null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> failwith ("tric_cli " ^ String.concat " " args ^ " failed")

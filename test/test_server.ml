@@ -344,6 +344,29 @@ let test_server_basic_session () =
       | _ -> Alcotest.fail "expected Bye");
       Client.close cl)
 
+(* A subscriber whose notification is already on the socket (and not yet
+   in its decoder) gets it from a zero-timeout recv: a passed deadline
+   still polls once. *)
+let test_client_recv_zero_timeout () =
+  with_server "recv0" (fun sock _journal ->
+      let sub = Client.connect sock in
+      ignore (Client.hello sub "sub");
+      ignore (register_wait sub "q" "?x -a-> ?y");
+      let pub = Client.connect sock in
+      ignore (Client.hello pub "pub");
+      ignore (publish_wait pub 1 "u -a-> v");
+      (match Unix.select [ Client.fd sub ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "notification never reached the subscriber socket"
+      | _ -> ());
+      (match Client.recv ~timeout_s:0. sub with
+      | Some (Wire.Notify { useq = 1; _ }) -> ()
+      | Some _ -> Alcotest.fail "expected the notification"
+      | None -> Alcotest.fail "recv ~timeout_s:0. ignored a message on the socket");
+      Client.send pub Wire.Quit;
+      ignore (Client.recv_exn pub);
+      Client.close pub;
+      Client.close sub)
+
 let test_server_overflow_evicts () =
   with_server "overflow" ~outbox_soft:1 ~outbox_hard:2 (fun sock _journal ->
       let bob = Client.connect sock in
@@ -432,11 +455,6 @@ let test_server_resume_exactly_once () =
 
 (* -- kill -9 torture against the real binary --------------------------------- *)
 
-let cli_path () =
-  let d = Filename.dirname Sys.executable_name in
-  Filename.concat (Filename.concat d Filename.parent_dir_name)
-    (Filename.concat "bin" "tric_cli.exe")
-
 let norm_entry (e : Wire.entry) =
   let cmp_pair (a, b) (c, d) =
     match Int.compare a c with 0 -> String.compare b d | n -> n
@@ -464,7 +482,7 @@ let drain_notifies ?(timeout_s = 0.3) cl =
   go []
 
 let test_server_torture () =
-  let bin = cli_path () in
+  let bin = Helpers.cli_path () in
   if not (Sys.file_exists bin) then
     Alcotest.failf "tric_cli.exe not built next to the test binary (%s)" bin;
   let dir = Filename.temp_file "tric_torture" "" in
@@ -709,4 +727,6 @@ let suite =
     Alcotest.test_case "server evicts on overflow" `Quick test_server_overflow_evicts;
     Alcotest.test_case "server exactly-once resume" `Quick test_server_resume_exactly_once;
     Alcotest.test_case "server kill -9 torture" `Slow test_server_torture;
+    Alcotest.test_case "client recv polls at a zero timeout" `Quick
+      test_client_recv_zero_timeout;
   ]

@@ -382,11 +382,13 @@ let test_sharded_matches_sequential () =
 let test_targeted_dispatch_isolation () =
   (* Owner-targeted dispatch: an op whose edge only matches keys owned by
      shard k must enqueue work on shard k alone — the per-shard op
-     counters in [Tric.stats] prove no other shard saw the op.  Four
+     counters in [Tric.stats] prove no other shard saw the op.  Sixteen
      all-variable single-edge queries over distinct labels give each
-     update exactly one registered generalisation, [(l,?,?)]. *)
+     update exactly one registered generalisation, [(l,?,?)]; with four
+     shards some shard owns several queries, and a broadcast dispatcher
+     would score 4 dispatched ops per routed op. *)
   let shards = 4 in
-  let labels = [ "la"; "lb"; "lc"; "ld" ] in
+  let labels = List.init 16 (Printf.sprintf "fan%d") in
   let queries =
     List.mapi
       (fun i l -> Helpers.pattern ~id:(i + 1) (Printf.sprintf "?x -%s-> ?y" l))
@@ -423,10 +425,10 @@ let test_targeted_dispatch_isolation () =
                 expected after.(s))
             before)
         queries;
-      (* Four updates, each routed to exactly one shard: mean fanout 1. *)
+      (* Sixteen updates, each routed to exactly one shard: mean fanout 1. *)
       let s = Tric.stats t in
-      Alcotest.(check int) "ops routed" 4 s.Tric.ops_routed;
-      Alcotest.(check int) "ops dispatched = ops routed (fanout 1)" 4 s.Tric.ops_dispatched)
+      Alcotest.(check int) "ops routed" 16 s.Tric.ops_routed;
+      Alcotest.(check int) "ops dispatched = ops routed (fanout 1)" 16 s.Tric.ops_dispatched)
 
 let test_dispatch_fanout_after_churn () =
   (* Query churn must not leave stale routing: after the last query
@@ -527,6 +529,41 @@ let test_sharded_forest_access () =
       (* Shutdown is idempotent. *)
       Tric.shutdown t)
 
+(* Allocation budget: minor words allocated per update on a fixed
+   per-update SNB replay (1000 edges, qdb 50, seed 7) through TRIC+ at one
+   shard.  The packed row store measures about 1660 here; a boxed-tuple
+   regression on the hot path trips this before it shows in throughput.
+   The dataset is generated by a fresh tric_cli process: the generator's
+   output depends on the labels this process has already interned, so an
+   in-suite [Dataset.make] would replay a different stream depending on
+   which tests ran first. *)
+let alloc_budget_words = 2500.
+
+let test_allocation_budget () =
+  let module W = Tric_workloads in
+  let file = Filename.temp_file "tric_alloc" ".bin" in
+  let d =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Helpers.run_cli
+          [ "generate"; "snb"; "-o"; file; "--edges"; "1000"; "--qdb"; "50"; "--seed"; "7" ];
+        W.Dataset.load file)
+  in
+  let engine = Engine.Engines.tric ~cache:true ~shards:1 () in
+  List.iter engine.Engine.Matcher.add_query d.W.Dataset.queries;
+  let stream = d.W.Dataset.stream in
+  let n = Tric_graph.Stream.length stream in
+  let m0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (engine.Engine.Matcher.handle_update (Tric_graph.Stream.get stream i))
+  done;
+  let per_update = (Gc.minor_words () -. m0) /. float_of_int n in
+  engine.Engine.Matcher.shutdown ();
+  if per_update > alloc_budget_words then
+    Alcotest.failf "TRIC+ allocates %.0f minor words per update; the budget is %.0f"
+      per_update alloc_budget_words
+
 let suite =
   [
     Alcotest.test_case "fig4 covering paths" `Quick test_fig4_covering_paths;
@@ -559,4 +596,5 @@ let suite =
     Alcotest.test_case "differential vs oracle (TRIC) II" `Quick (differential_case ~cache:false 1337);
     Alcotest.test_case "differential vs oracle (TRIC+)" `Quick (differential_case ~cache:true 42);
     Alcotest.test_case "differential vs oracle (TRIC+) II" `Quick (differential_case ~cache:true 2024);
+    Alcotest.test_case "allocation budget per update (TRIC+)" `Quick test_allocation_budget;
   ]
