@@ -12,8 +12,9 @@
       paper-style text table via Tric_harness.Figures (workload generator,
       parameter sweep, all baselines, timeout truncation).
 
-   Environment: TRIC_SCALE (divide the paper's sizes; default 50),
-   TRIC_BUDGET (seconds per engine run; default 20), TRIC_SEED.
+   Environment: TRIC_SCALE (divide the paper's sizes; default 25),
+   TRIC_BUDGET (seconds per engine run; default 10), TRIC_SEED
+   (default 7) — see Tric_harness.Config.
 
    TRIC_OVERHEAD_ONLY=1 runs only the telemetry-overhead gate (see
    [overhead_report]) and exits non-zero past its budget.  Throughput,

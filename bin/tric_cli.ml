@@ -169,10 +169,10 @@ let batch_arg =
   Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc:"Micro-batch size: hand the engine windows of $(docv) updates instead of one at a time (default 1).")
 
 let shards_arg =
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"Shard the trie engines over $(docv) domains (default 1; env TRIC_SHARDS). Baselines are inherently sequential and ignore it.")
+  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Shard the trie engines over $(docv) domains (default 1). Baselines are inherently sequential and ignore it.")
 
 let window_arg =
-  Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc:"Wrap the engine in a streaming window and expire old edges with retractions. $(docv) is the default window for queries without a WITHIN clause: a bare integer is a count window in edges ('1000'), a duration is an event-time window ('90s', '15m', '1h'), with optional TUMBLING/SLIDING modifier ('1h TUMBLING'). Env TRIC_WINDOW.")
+  Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc:"Wrap the engine in a streaming window and expire old edges with retractions. $(docv) is the default window for queries without a WITHIN clause: a bare integer is a count window in edges ('1000'), a duration is an event-time window ('90s', '15m', '1h'), with optional TUMBLING/SLIDING modifier ('1h TUMBLING').")
 
 let parse_window = function
   | None -> Ok None
@@ -191,14 +191,13 @@ let replay_cmd =
   in
   let run file engine_name budget batch shards window metrics_out =
     if batch < 1 then `Error (false, "--batch must be >= 1")
-    else if (match shards with Some s -> s < 1 | None -> false) then
-      `Error (false, "--shards must be >= 1")
+    else if shards < 1 then `Error (false, "--shards must be >= 1")
     else
       match parse_window window with
       | Error msg -> `Error (false, msg)
       | Ok window -> (
-      let metrics = match metrics_out with Some _ -> Some true | None -> None in
-      match Engine.Engines.by_name ?shards ?metrics ?window engine_name with
+      let metrics = Option.is_some metrics_out in
+      match Engine.Engines.by_name ~shards ~metrics ?window engine_name with
       | exception Invalid_argument msg -> `Error (false, msg)
       | engine ->
         let d = W.Dataset.load file in
@@ -299,14 +298,13 @@ let audit_cmd =
     if batch < 1 then `Error (false, "--batch must be >= 1")
     else if every < 1 then `Error (false, "--every must be >= 1")
     else if churn < 0.0 || churn >= 1.0 then `Error (false, "--churn must be in [0, 1)")
-    else if (match shards with Some s -> s < 1 | None -> false) then
-      `Error (false, "--shards must be >= 1")
+    else if shards < 1 then `Error (false, "--shards must be >= 1")
     else
       match parse_window window with
       | Error msg -> `Error (false, msg)
       | Ok window -> (
-      let metrics = match metrics_out with Some _ -> Some true | None -> None in
-      match Engine.Engines.by_name ?shards ?metrics ?window engine_name with
+      let metrics = Option.is_some metrics_out in
+      match Engine.Engines.by_name ~shards ~metrics ?window engine_name with
       | exception Invalid_argument msg -> `Error (false, msg)
       | engine -> (
         let d = W.Dataset.load file in
@@ -395,10 +393,9 @@ let stats_cmd =
       | None -> `Error (true, "a dataset FILE is required unless --check is given")
       | Some file ->
         if batch < 1 then `Error (false, "--batch must be >= 1")
-        else if (match shards with Some s -> s < 1 | None -> false) then
-          `Error (false, "--shards must be >= 1")
+        else if shards < 1 then `Error (false, "--shards must be >= 1")
         else (
-          match Engine.Engines.by_name ?shards ~metrics:true engine_name with
+          match Engine.Engines.by_name ~shards ~metrics:true engine_name with
           | exception Invalid_argument msg -> `Error (false, msg)
           | engine ->
             let d = W.Dataset.load file in

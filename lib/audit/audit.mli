@@ -7,7 +7,7 @@
     creeps in.  This module certifies, at any point of a replay, that every
     materialized view, index, and cache equals what a from-scratch
     recomputation would produce — the sanitizer the shadow-audit harness
-    ({!Tric_engine.Runner.run}'s [audit_every] / [TRIC_AUDIT]), the
+    ({!Tric_engine.Runner.run}'s [audit_every]), the
     [tric_cli audit] subcommand, and the QCheck postconditions run.
 
     The invariant lattice, from structure to accounting:

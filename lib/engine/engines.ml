@@ -38,12 +38,19 @@ let iso () =
 let tric_naive_cover () =
   Matcher.of_tric (Tric_core.Tric.create ~strategy:Tric_query.Cover.Naive ())
 
-(* Lift a Window.t into the uniform Matcher.t handle, everything wired:
-   the real batch path, the window-coherence audit chained into the inner
-   engines' own auditors, query removal, and expiry/lateness counters
-   surfaced through [stats]. *)
-let of_window ~name w =
+(* The window is lifted into the uniform Matcher.t handle, everything
+   wired: the real batch path, the window-coherence audit chained into the
+   inner engines' own auditors, query removal, and expiry/lateness
+   counters surfaced through [stats]. *)
+let windowed_spec ?slack ?default factory =
+  let w = Window.make ?default ?slack factory in
   let inners () = Window.engines w in
+  let base = match inners () with e :: _ -> e.Matcher.name | [] -> "?" in
+  let name =
+    match default with
+    | Some s -> Printf.sprintf "%s/win[%s]" base (Tric_query.Wspec.to_string s)
+    | None -> Printf.sprintf "%s/win" base
+  in
   Matcher.make ~name
     ~description:"windowed wrapper: per-spec query groups, watermark-driven expiry"
     ~stats:(fun () -> Window.stats w)
@@ -65,58 +72,7 @@ let of_window ~name w =
     ~memory_words:(fun () -> Obj.reachable_words (Obj.repr w))
     ()
 
-let windowed ~window inner =
-  let w = Window.create ~window inner in
-  of_window ~name:(Printf.sprintf "%s/win%d" inner.Matcher.name window) w
-
-let windowed_spec ?slack ?default factory =
-  let w = Window.make ?default ?slack factory in
-  let base = match Window.engines w with e :: _ -> e.Matcher.name | [] -> "?" in
-  let name =
-    match default with
-    | Some s -> Printf.sprintf "%s/win[%s]" base (Tric_query.Wspec.to_string s)
-    | None -> Printf.sprintf "%s/win" base
-  in
-  of_window ~name w
-
-(* Shard count for trie engines picked up from the environment so every
-   entry point (CLI replays, benches, CI) can run a shard matrix without
-   new plumbing; an explicit [shards] argument wins. *)
-let env_shards () =
-  match Sys.getenv_opt "TRIC_SHARDS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "TRIC_SHARDS=%S: expected a positive integer" s))
-
-(* Same environment pattern for telemetry: TRIC_METRICS=1 switches the
-   instrumented constructors on everywhere without per-entry-point flags. *)
-let env_metrics () =
-  match Sys.getenv_opt "TRIC_METRICS" with
-  | None -> false
-  | Some s -> (
-    match String.trim s with
-    | "" | "0" | "false" -> false
-    | "1" | "true" -> true
-    | s -> invalid_arg (Printf.sprintf "TRIC_METRICS=%S: expected 0/1/true/false" s))
-
-(* And for windows: TRIC_WINDOW carries a Wspec in surface syntax
-   ("1h", "90s TUMBLING", "1000 EVENTS", "500") and becomes the default
-   window of every engine [by_name] builds. *)
-let env_window () =
-  match Sys.getenv_opt "TRIC_WINDOW" with
-  | None | Some "" -> None
-  | Some s -> (
-    match Tric_query.Wspec.of_string s with
-    | Ok spec -> Some spec
-    | Error msg -> invalid_arg (Printf.sprintf "TRIC_WINDOW=%S: %s" s msg))
-
-let by_name ?shards ?metrics ?window name =
-  let shards = match shards with Some n -> n | None -> env_shards () in
-  let metrics = match metrics with Some b -> b | None -> env_metrics () in
-  let window = match window with Some _ as w -> w | None -> env_window () in
+let by_name ?(shards = 1) ?(metrics = false) ?window name =
   let mk () =
     match name with
     | "TRIC" -> tric ~shards ~metrics ()

@@ -21,13 +21,6 @@ val tric_naive_cover : unit -> Matcher.t
 (** Ablation engine: TRIC with the paper's literal (non-upstream-extended)
     covering-path extraction — fewer shared prefixes. *)
 
-val windowed : window:int -> Matcher.t -> Matcher.t
-(** Wrap the given engine in a count-based sliding window of [window]
-    most-recent distinct edges ({!Window.create}), presented as a
-    {!Matcher.t} so it runs through the harness — batch path, inner
-    audit chained behind the window-coherence class, and query removal
-    all wired through. *)
-
 val windowed_spec :
   ?slack:int -> ?default:Tric_query.Wspec.t -> (unit -> Matcher.t) -> Matcher.t
 (** The spec-aware window ({!Window.make}): queries are grouped by their
@@ -38,16 +31,11 @@ val windowed_spec :
 
 val by_name : ?shards:int -> ?metrics:bool -> ?window:Tric_query.Wspec.t -> string -> Matcher.t
 (** "TRIC" | "TRIC+" | "INV" | "INV+" | "INC" | "INC+" | "GraphDB" |
-    "NAIVE".  [shards] applies to the trie engines only (the baselines
-    are inherently sequential); when omitted, the [TRIC_SHARDS]
-    environment variable supplies it (default 1).  [metrics] applies to
-    the trie and inverted-index engines; when omitted, [TRIC_METRICS]
-    supplies it (default off).  [window] wraps the engine in a
-    {!windowed_spec} window with that default spec; when omitted, the
-    [TRIC_WINDOW] environment variable supplies it in {!Tric_query.Wspec}
-    surface syntax (["1h"], ["90s TUMBLING"], ["1000 EVENTS"]...).
-    @raise Invalid_argument on anything else, or on a malformed
-    [TRIC_SHARDS] / [TRIC_METRICS] / [TRIC_WINDOW]. *)
+    "NAIVE".  [shards] (default 1) applies to the trie engines only (the
+    baselines are inherently sequential).  [metrics] (default false)
+    applies to the trie and inverted-index engines.  [window] wraps the
+    engine in a {!windowed_spec} window with that default spec.
+    @raise Invalid_argument on anything else. *)
 
 val paper_names : string list
 (** The seven engines of the paper's evaluation, in its plotting order:

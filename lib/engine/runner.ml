@@ -48,34 +48,12 @@ let log_src = Logs.Src.create "tric.runner" ~doc:"stream replay harness"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let audit_every_env () =
-  match Sys.getenv_opt "TRIC_AUDIT" with
-  | None -> 0
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n > 0 -> n | _ -> 0)
-
 let now () = Unix.gettimeofday ()
 
-(* Linear interpolation between the two bracketing ranks.  Truncating the
-   rank (the old [int_of_float]) biases small-sample percentiles low: with
-   9 latencies p95 landed on sorted.(7) instead of near the maximum. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let lo = if lo < 0 then 0 else min (n - 1) lo in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
-
 let run ?(budget_s = infinity) ?(checkpoints = []) ?(measure_memory = true)
-    ?(batch_size = 1) ?audit_every ~engine ~queries ~stream () =
+    ?(batch_size = 1) ?(audit_every = 0) ~engine ~queries ~stream () =
   if batch_size < 1 then invalid_arg "Runner.run: batch_size must be >= 1";
-  let audit_every =
-    match audit_every with Some n -> max 0 n | None -> audit_every_env ()
-  in
+  let audit_every = max 0 audit_every in
   let t0 = now () in
   List.iter engine.Matcher.add_query queries;
   let index_time_s = now () -. t0 in

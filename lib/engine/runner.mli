@@ -65,15 +65,8 @@ exception
 (** Raised by {!run} when a shadow audit finds maintained state diverging
     from ground truth — the replay analogue of a sanitizer abort: it names
     the first update count at which the divergence was observable, so
-    [TRIC_AUDIT=1] bisects to the offending update.  A printer is
+    [audit_every = 1] bisects to the offending update.  A printer is
     registered, so an uncaught failure pretty-prints the full report. *)
-
-val percentile : float array -> float -> float
-(** [percentile sorted q] with [sorted] ascending and [q] in [0, 1]:
-    linear interpolation between the two bracketing ranks (0 on an empty
-    array).  Exposed for the latency statistics tests; the replay itself
-    now samples into a {!Tric_obs.Histogram} whose exact mode reproduces
-    these semantics. *)
 
 val run :
   ?budget_s:float ->
@@ -98,8 +91,7 @@ val run :
     so latency and throughput numbers are unaffected — rebuilds the
     ground-truth live edge set from the stream prefix, and runs
     {!Matcher.t.audit} against it, raising {!Audit_failure} on the first
-    unclean report.  Defaults to the [TRIC_AUDIT] environment variable
-    (a positive update count), else off.
+    unclean report.  Default 0: off.
     @raise Invalid_argument if [batch_size < 1]. *)
 
 val segment_means_ms : result -> (int * float) list

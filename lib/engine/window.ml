@@ -26,7 +26,6 @@ type group = {
 type t = {
   factory : unit -> Matcher.t;
   default : Wspec.t option;  (* spec for queries without their own *)
-  respect_specs : bool;  (* false: legacy wrapper overrides WITHIN *)
   mutable groups : group list;  (* creation order *)
   owner : (int, group) Hashtbl.t;  (* qid -> its group *)
   slack : int;  (* allowed out-of-orderness, seconds *)
@@ -111,7 +110,7 @@ let group_live_edges g =
 let group_live_count g =
   if is_time g then Edge.Tbl.length g.deadline else Edge.Tbl.length g.cells
 
-(* --- constructors ------------------------------------------------------ *)
+(* --- constructor ------------------------------------------------------- *)
 
 let make ?default ?(slack = 0) factory =
   if slack < 0 then invalid_arg "Window.make: slack < 0";
@@ -119,7 +118,6 @@ let make ?default ?(slack = 0) factory =
     {
       factory;
       default;
-      respect_specs = true;
       groups = [];
       owner = Hashtbl.create 64;
       slack;
@@ -138,43 +136,10 @@ let make ?default ?(slack = 0) factory =
   (match default with Some _ -> ignore (group_for t default) | None -> ());
   t
 
-let create ~window inner =
-  if window <= 0 then invalid_arg "Window.create: window <= 0";
-  let served = ref false in
-  let factory () =
-    if !served then
-      invalid_arg "Window.create: the legacy wrapper serves a single group"
-    else begin
-      served := true;
-      inner
-    end
-  in
-  let t =
-    {
-      factory;
-      default = Some (Wspec.Count { shape = Wspec.Sliding; size = window });
-      respect_specs = false;
-      groups = [];
-      owner = Hashtbl.create 64;
-      slack = 0;
-      wm = min_int;
-      late_dropped = 0;
-      expired_edges = 0;
-      expiry_batches = 0;
-      suppress_expiry = false;
-    }
-  in
-  ignore (group_for t t.default);
-  t
-
 (* --- query registry ---------------------------------------------------- *)
 
 let add_query t p =
-  let spec =
-    if t.respect_specs then
-      match Pattern.window p with Some w -> Some w | None -> t.default
-    else t.default
-  in
+  let spec = match Pattern.window p with Some w -> Some w | None -> t.default in
   let g = group_for t spec in
   g.inner.Matcher.add_query p;
   Hashtbl.replace t.owner (Pattern.id p) g

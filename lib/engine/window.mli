@@ -42,12 +42,6 @@ val make : ?default:Wspec.t -> ?slack:int -> (unit -> Matcher.t) -> t
     maximum event time by [slack].
     @raise Invalid_argument if [slack < 0]. *)
 
-val create : window:int -> Matcher.t -> t
-(** Legacy wrapper: one sliding count window of [window] most-recent
-    distinct edges over the given engine, per-query [WITHIN] clauses
-    overridden.  Equivalent to a single-group {!make}.
-    @raise Invalid_argument if [window <= 0]. *)
-
 val add_query : t -> Pattern.t -> unit
 (** Register a query with the group its {!Tric_query.Pattern.window}
     spec selects (creating the group — and its engine — on first use). *)

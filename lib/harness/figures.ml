@@ -359,6 +359,11 @@ let ablation_window =
       (fun cfg fmt ->
         let d = dataset cfg ~edges:100_000 ~qdb:1_000 () in
         let total = Tric_graph.Stream.length d.W.Dataset.stream in
+        let windowed size =
+          Engines.windowed_spec
+            ~default:(Tric_query.Wspec.Count { shape = Sliding; size })
+            (fun () -> Engines.tric ~cache:true ())
+        in
         let rows =
           List.map
             (fun (label, engine) ->
@@ -374,10 +379,8 @@ let ablation_window =
               ])
             [
               ("unbounded", Engines.tric ~cache:true ());
-              ( Printf.sprintf "window=%d" (total / 2),
-                Engines.windowed ~window:(total / 2) (Engines.tric ~cache:true ()) );
-              ( Printf.sprintf "window=%d" (total / 4),
-                Engines.windowed ~window:(total / 4) (Engines.tric ~cache:true ()) );
+              (Printf.sprintf "window=%d" (total / 2), windowed (total / 2));
+              (Printf.sprintf "window=%d" (total / 4), windowed (total / 4));
             ]
         in
         Format.fprintf fmt

@@ -8,7 +8,7 @@
     span-aligned bucket).
 
     Surface syntax (the [WITHIN] clause of {!Parse.pattern}, and the
-    [TRIC_WINDOW] / [--window] engine default):
+    [--window] engine default):
     {[
       spec ::= duration [shape]            (* time window  *)
              | int ["EVENTS"] [shape]      (* count window *)

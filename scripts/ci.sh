@@ -52,10 +52,10 @@ fi
 auditds=$(mktemp -u).tric
 dune exec bin/tric_cli.exe -- generate snb -o "$auditds" --edges 4000 --qdb 60 > /dev/null
 for engine in TRIC TRIC+ INV+; do
-  TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
+  dune exec bin/tric_cli.exe -- \
     audit "$auditds" --engine "$engine" --every 500 --churn 0.2 > /dev/null
 done
-TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
+dune exec bin/tric_cli.exe -- \
   audit "$auditds" --engine TRIC+ --every 500 --churn 0.2 --batch 64 > /dev/null
 
 # Windowed audited churn replay: the same stream scoped to a sliding
@@ -64,34 +64,41 @@ TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
 # outlives its deadline or capacity, nothing window-live is absent from
 # the stream, and the inner engines are re-certified against the window's
 # own live set instead of the full stream history.
-TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
+dune exec bin/tric_cli.exe -- \
   audit "$auditds" --engine TRIC+ --every 500 --churn 0.2 --window "500 EVENTS" > /dev/null
-TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
+dune exec bin/tric_cli.exe -- \
   audit "$auditds" --engine TRIC+ --every 500 --churn 0.2 --batch 64 --window 1h > /dev/null
 
 # Shard matrix: the same churned audited replay through the owner-targeted
 # dispatcher at 1, 2 and 4 domains.  Every shadow audit re-certifies the
 # dispatched state (including routing coherence: trie placement AND the
 # per-key dispatch bitmaps) against ground truth, so a green run here
-# proves targeted dispatch = sequential on this stream.
+# proves targeted dispatch = sequential on this stream.  A sharded row
+# must report its shard count ("over N shards"), so a --shards that stops
+# reaching the engine fails here instead of silently running on one.
+audit_sharded() {
+  shards=$1
+  shift
+  out=$(dune exec bin/tric_cli.exe -- \
+    audit "$auditds" --every 500 --churn 0.2 --shards "$shards" "$@")
+  if [ "$shards" -gt 1 ] && ! printf '%s\n' "$out" | grep -q "over $shards shards"; then
+    echo "ci: audit --shards $shards did not run over $shards shards" >&2
+    exit 1
+  fi
+}
 for shards in 1 2 4; do
-  TRIC_SHARDS=$shards TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
-    audit "$auditds" --engine TRIC+ --every 500 --churn 0.2 > /dev/null
-  TRIC_SHARDS=$shards TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
-    audit "$auditds" --engine TRIC --every 500 --churn 0.2 --batch 32 > /dev/null
+  audit_sharded "$shards" --engine TRIC+
+  audit_sharded "$shards" --engine TRIC --batch 32
 done
 # Oversharded batched row: 8 domains exceed the label alphabet, so some
 # shards own nothing — the skewed-ownership regime targeted routing and
 # batched dispatch must survive unchanged.
-TRIC_SHARDS=8 TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
-  audit "$auditds" --engine TRIC --every 500 --churn 0.2 --batch 32 > /dev/null
+audit_sharded 8 --engine TRIC --batch 32
 # Telemetry: a metrics-enabled audited churn replay (4 shards) exporting
 # its merged snapshot, which is then re-parsed and schema-checked by the
 # stats subcommand's strict validator.
 metricsjson=$(mktemp -u).json
-TRIC_AUDIT=500 dune exec bin/tric_cli.exe -- \
-  audit "$auditds" --engine TRIC+ --every 500 --churn 0.2 --shards 4 \
-  --metrics-out "$metricsjson" > /dev/null
+audit_sharded 4 --engine TRIC+ --metrics-out "$metricsjson"
 dune exec bin/tric_cli.exe -- stats --check "$metricsjson"
 rm -f "$metricsjson"
 rm -f "$auditds"

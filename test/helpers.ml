@@ -108,3 +108,9 @@ let run_cli args =
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
   | _ -> failwith ("tric_cli " ^ String.concat " " args ^ " failed")
+
+(* A sliding count window of the last [size] distinct edges over engines
+   built by [factory]: the default scope of queries without a WITHIN
+   clause. *)
+let count_window size factory =
+  Tric_engine.Window.make ~default:(Wspec.Count { shape = Sliding; size }) factory

@@ -189,19 +189,6 @@ let deletion_differential mk () =
       queries
   done
 
-let test_windowed_wrapper () =
-  let e = E.Engines.windowed ~window:3 (E.Engines.tric ~cache:true ()) in
-  Alcotest.(check string) "composite name" "TRIC+/win3" e.E.Matcher.name;
-  e.E.Matcher.add_query (Helpers.pattern ~id:1 "?x -a-> ?y");
-  Alcotest.(check int) "queries visible" 1 (e.E.Matcher.num_queries ());
-  ignore (e.E.Matcher.handle_update (Helpers.update "a1 -a-> t"));
-  ignore (e.E.Matcher.handle_update (Helpers.update "a2 -a-> t"));
-  ignore (e.E.Matcher.handle_update (Helpers.update "a3 -a-> t"));
-  ignore (e.E.Matcher.handle_update (Helpers.update "a4 -a-> t"));
-  Alcotest.(check int) "only window retained" 3
-    (List.length (e.E.Matcher.current_matches 1));
-  Alcotest.(check bool) "stats passthrough" true (e.E.Matcher.stats () <> [])
-
 let test_engine_stats () =
   (* Every engine exposes non-trivial counters after some activity. *)
   List.iter
@@ -243,17 +230,6 @@ let test_runner_empty_stream () =
       ~queries:[] ~stream:Stream.empty ()
   in
   Alcotest.(check int) "memory skipped" 0 r.E.Runner.memory_words
-
-let test_percentile () =
-  (* Interpolated percentiles: the old truncating rank reported p50 = 2.0
-     and p95 = 3.0 on this array. *)
-  let s = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "p0 = min" 1.0 (E.Runner.percentile s 0.0);
-  Alcotest.(check (float 1e-9)) "p50 interpolates" 2.5 (E.Runner.percentile s 0.5);
-  Alcotest.(check (float 1e-9)) "p95 near max" 3.85 (E.Runner.percentile s 0.95);
-  Alcotest.(check (float 1e-9)) "p100 = max" 4.0 (E.Runner.percentile s 1.0);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (E.Runner.percentile [||] 0.5);
-  Alcotest.(check (float 1e-9)) "singleton" 7.0 (E.Runner.percentile [| 7.0 |] 0.95)
 
 let test_runner_duplicate_checkpoints () =
   (* Duplicate checkpoints (growth figures at high scale collapse several
@@ -323,7 +299,6 @@ let suite =
     Alcotest.test_case "runner basics" `Quick test_runner_basics;
     Alcotest.test_case "runner checkpoints" `Quick test_runner_checkpoints;
     Alcotest.test_case "runner budget" `Quick test_runner_budget;
-    Alcotest.test_case "percentile interpolation" `Quick test_percentile;
     Alcotest.test_case "runner duplicate checkpoints" `Quick
       test_runner_duplicate_checkpoints;
     Alcotest.test_case "runner batched replay" `Quick test_runner_batched;
@@ -338,7 +313,6 @@ let suite =
     Alcotest.test_case "deletion differential (GraphDB)" `Quick
       (deletion_differential (fun () -> E.Engines.graphdb ()));
     Alcotest.test_case "mid-stream query addition" `Quick test_midstream_query_addition;
-    Alcotest.test_case "windowed wrapper" `Quick test_windowed_wrapper;
     Alcotest.test_case "engine stats" `Quick test_engine_stats;
     Alcotest.test_case "runner empty stream" `Quick test_runner_empty_stream;
   ]

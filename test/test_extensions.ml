@@ -1,4 +1,4 @@
-(* Tests for the extension features: sliding windows, the pub/sub layer,
+(* Tests for the extension features: sliding windows,
    property-graph constraints (§4.3), the Cypher→pattern bridge, and
    dataset persistence. *)
 
@@ -8,7 +8,7 @@ module E = Tric_engine
 (* -- Window ------------------------------------------------------------------ *)
 
 let test_window_expiry () =
-  let w = E.Window.create ~window:2 (E.Engines.tric ()) in
+  let w = Helpers.count_window 2 (fun () -> E.Engines.tric ()) in
   E.Window.add_query w (Helpers.pattern ~id:1 "?x -a-> ?y -b-> ?z");
   let r = E.Window.handle_update w (Helpers.update "u -a-> v") in
   Alcotest.(check int) "no match" 0 (E.Report.total_matches r);
@@ -29,7 +29,7 @@ let test_window_expiry () =
   Alcotest.(check int) "re-match once both inside window" 1 (E.Report.total_matches r)
 
 let test_window_refresh () =
-  let w = E.Window.create ~window:2 (E.Engines.tric ~cache:true ()) in
+  let w = Helpers.count_window 2 (fun () -> E.Engines.tric ~cache:true ()) in
   E.Window.add_query w (Helpers.pattern ~id:1 "?x -a-> ?y");
   ignore (E.Window.handle_update w (Helpers.update "e1 -a-> t"));
   ignore (E.Window.handle_update w (Helpers.update "e2 -a-> t"));
@@ -46,47 +46,6 @@ let test_window_refresh () =
   (* Explicit removal frees a slot. *)
   ignore (E.Window.handle_update w (Helpers.update "- e1 -a-> t"));
   Alcotest.(check int) "one live after explicit remove" 1 (E.Window.live_edges w)
-
-(* -- Notify ------------------------------------------------------------------ *)
-
-let test_notify () =
-  let n = E.Notify.create (E.Engines.tric ~cache:true ()) in
-  let fired = ref [] in
-  let sub1 =
-    E.Notify.subscribe n ~name:"chains"
-      ~pattern:(Helpers.pattern ~id:99 "?x -a-> ?y -b-> ?z")
-      (fun ev -> fired := ("chains", ev.E.Notify.seqno, List.length ev.E.Notify.embeddings) :: !fired)
-  in
-  let _sub2 =
-    E.Notify.subscribe n
-      ~pattern:(Helpers.pattern ~id:98 "?x -a-> ?y")
-      (fun ev ->
-        fired :=
-          ( E.Notify.subscription_name ev.E.Notify.subscription,
-            ev.E.Notify.seqno,
-            List.length ev.E.Notify.embeddings )
-          :: !fired)
-  in
-  Alcotest.(check int) "two subs" 2 (E.Notify.num_subscriptions n);
-  let delivered =
-    E.Notify.publish_stream n
-      (Stream.of_updates (Helpers.updates [ "u -a-> v"; "v -b-> w" ]))
-  in
-  Alcotest.(check int) "two notifications" 2 delivered;
-  Alcotest.(check bool) "chain fired at seq 1" true (List.mem ("chains", 1, 1) !fired);
-  Alcotest.(check bool) "single-edge sub fired at seq 0" true
-    (List.exists (fun (name, seq, _) -> name = "sub-2" && seq = 0) !fired);
-  (* Unsubscribe stops delivery. *)
-  Alcotest.(check bool) "unsubscribe" true (E.Notify.unsubscribe n sub1);
-  Alcotest.(check bool) "unsubscribe twice" false (E.Notify.unsubscribe n sub1);
-  let before = List.length !fired in
-  ignore (E.Notify.publish n (Helpers.update "u2 -a-> v2"));
-  ignore (E.Notify.publish n (Helpers.update "v -b-> w2"));
-  let new_chain_events =
-    List.filter (fun (name, _, _) -> name = "chains") !fired |> List.length
-  in
-  ignore before;
-  Alcotest.(check int) "no chain events after unsubscribe" 1 new_chain_events
 
 (* -- Props (§4.3 property graphs) -------------------------------------------- *)
 
@@ -206,7 +165,6 @@ let suite =
   [
     Alcotest.test_case "window expiry" `Quick test_window_expiry;
     Alcotest.test_case "window refresh" `Quick test_window_refresh;
-    Alcotest.test_case "notify pub/sub" `Quick test_notify;
     Alcotest.test_case "props constraint phase" `Quick test_props_filtering;
     Alcotest.test_case "props passthrough/validation" `Quick test_props_unconstrained_passthrough;
     Alcotest.test_case "cypher bridge" `Quick test_pattern_of_cypher;

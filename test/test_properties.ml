@@ -785,29 +785,6 @@ let prop_trie_sharing =
         words;
       Tric_core.Trie.num_nodes forest = Hashtbl.length prefixes)
 
-(* Analytics invariants against brute-force recomputation. *)
-
-let brute_triangles g =
-  (* Count triangles in the undirected simple view by enumerating vertex
-     triples adjacent pairwise. *)
-  let adjacent u v =
-    (not (Label.equal u v))
-    && (List.exists (fun (e : Edge.t) -> Label.equal e.dst v) (Graph.out_edges g u)
-       || List.exists (fun (e : Edge.t) -> Label.equal e.src v) (Graph.in_edges g u))
-  in
-  let vs = Array.of_list (Graph.vertices g) in
-  let n = Array.length vs in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if adjacent vs.(i) vs.(j) then
-        for k = j + 1 to n - 1 do
-          if adjacent vs.(i) vs.(k) && adjacent vs.(j) vs.(k) then incr count
-        done
-    done
-  done;
-  !count
-
 let gen_mixed_stream =
   (* Additions and removals over a small vocabulary; removals may target
      absent edges (must be no-ops). *)
@@ -826,63 +803,6 @@ let updates_of_mixed spec =
       if add then Update.add e else Update.remove e)
     spec
 
-let prop_triangles_match_bruteforce =
-  QCheck2.Test.make ~count:150 ~name:"incremental triangles = brute force"
-    gen_mixed_stream
-    (fun spec ->
-      let updates = updates_of_mixed spec in
-      let m = Tric_analytics.Metrics.create () in
-      let g = Graph.create () in
-      List.for_all
-        (fun u ->
-          Tric_analytics.Metrics.handle_update m u;
-          ignore (Update.apply g u);
-          Tric_analytics.Metrics.triangles m = brute_triangles g)
-        updates)
-
-let prop_components_match_bfs =
-  QCheck2.Test.make ~count:100 ~name:"incremental components = BFS reachability"
-    gen_mixed_stream
-    (fun spec ->
-      let updates = updates_of_mixed spec in
-      let c = Tric_analytics.Components.create () in
-      let g = Graph.create () in
-      List.iter
-        (fun u ->
-          Tric_analytics.Components.handle_update c u;
-          ignore (Update.apply g u))
-        updates;
-      (* Undirected reachability oracle. *)
-      let reaches u v =
-        let seen = Hashtbl.create 16 in
-        let rec go frontier =
-          match frontier with
-          | [] -> false
-          | x :: rest ->
-            if Label.equal x v then true
-            else if Hashtbl.mem seen x then go rest
-            else begin
-              Hashtbl.add seen x ();
-              let next =
-                List.map (fun (e : Edge.t) -> e.dst) (Graph.out_edges g x)
-                @ List.map (fun (e : Edge.t) -> e.src) (Graph.in_edges g x)
-              in
-              go (next @ rest)
-            end
-        in
-        go [ u ]
-      in
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              let la = Label.intern a and lb = Label.intern b in
-              if Graph.mem_vertex g la && Graph.mem_vertex g lb then
-                Tric_analytics.Components.same_component c la lb = reaches la lb
-              else true)
-            vconsts)
-        vconsts)
-
 let prop_window_equals_suffix =
   (* A count-window engine over a duplicate-free addition stream must
      report, at the end, exactly the matches of the last W updates. *)
@@ -900,7 +820,7 @@ let prop_window_equals_suffix =
           in
           QCheck2.assume (edges <> []);
           let window = 1 + (List.length edges / 2) in
-          let w = Tric_engine.Window.create ~window (Tric_engine.Engines.tric ()) in
+          let w = Helpers.count_window window (fun () -> Tric_engine.Engines.tric ()) in
           Tric_engine.Window.add_query w q;
           List.iter (fun e -> ignore (Tric_engine.Window.handle_update w (Update.add e))) edges;
           let windowed =
@@ -1193,8 +1113,6 @@ let suite =
       prop_relation_set_semantics;
       prop_merge_commutative;
       prop_trie_sharing;
-      prop_triangles_match_bruteforce;
-      prop_components_match_bfs;
       prop_window_equals_suffix;
       prop_windowed_equals_oracle ~count:20 ~cache:false ~shards:1 ~batched:false;
       prop_windowed_equals_oracle ~count:20 ~cache:false ~shards:1 ~batched:true;

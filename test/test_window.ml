@@ -1,7 +1,7 @@
 (* Window subsystem tests: eviction retractions riding the triggering
    report (the silent-loss regression), event-time expiry under a
    watermark, lateness handling, tumbling resets, per-spec groups, the
-   window-coherence audit class, and the registry/env wiring. *)
+   window-coherence audit class, and the registry wiring. *)
 
 open Tric_query
 module E = Tric_engine
@@ -13,7 +13,7 @@ let wpattern ~id s = Parse.pattern ~id s
    vanished without a retraction.  The eviction's retractions must ride
    the report of the update that caused it. *)
 let test_evict_retraction_reported () =
-  let w = E.Window.create ~window:2 (E.Engines.tric ~cache:true ()) in
+  let w = Helpers.count_window 2 (fun () -> E.Engines.tric ~cache:true ()) in
   E.Window.add_query w (Helpers.pattern ~id:1 "?x -a-> ?y -b-> ?z");
   ignore (E.Window.handle_update w (Helpers.update "u -a-> v"));
   let r = E.Window.handle_update w (Helpers.update "v -b-> t") in
@@ -139,44 +139,27 @@ let test_audit_flags_suppressed_expiry () =
     (wpattern ~id:1 "?x -a-> ?y WITHIN 1 EVENTS")
     [ "c1 -a-> d1"; "c2 -a-> d2" ]
 
-(* The registry exposure: by_name ?window and the TRIC_WINDOW env var
-   both wrap the engine in a spec-aware window. *)
+(* The registry exposure: by_name ?window wraps the engine in a
+   spec-aware window, presented as a Matcher.t with queries, stats,
+   retractions and the audit all passed through. *)
 let test_registry_window () =
-  let spec = Wspec.Count { shape = Wspec.Sliding; size = 2 } in
+  let spec = Wspec.Count { shape = Wspec.Sliding; size = 3 } in
   let e = E.Engines.by_name ~window:spec "TRIC+" in
-  Alcotest.(check bool) "windowed name" true
-    (String.length e.E.Matcher.name > 5
-    && String.sub e.E.Matcher.name 0 5 = "TRIC+");
+  Alcotest.(check string) "windowed name" "TRIC+/win[3 EVENTS]" e.E.Matcher.name;
   e.E.Matcher.add_query (Helpers.pattern ~id:1 "?x -a-> ?y");
-  ignore (e.E.Matcher.handle_update (Helpers.update "e1 -a-> t1"));
-  ignore (e.E.Matcher.handle_update (Helpers.update "e2 -a-> t2"));
-  let r = e.E.Matcher.handle_update (Helpers.update "e3 -a-> t3") in
+  Alcotest.(check int) "queries visible" 1 (e.E.Matcher.num_queries ());
+  List.iter
+    (fun s -> ignore (e.E.Matcher.handle_update (Helpers.update s)))
+    [ "e1 -a-> t1"; "e2 -a-> t2"; "e3 -a-> t3" ];
+  let r = e.E.Matcher.handle_update (Helpers.update "e4 -a-> t4") in
   Alcotest.(check int) "eviction retraction through matcher" 1
     (E.Report.total_retractions r);
-  Alcotest.(check int) "scoped matches" 2 (List.length (e.E.Matcher.current_matches 1));
+  Alcotest.(check int) "only window retained" 3
+    (List.length (e.E.Matcher.current_matches 1));
+  Alcotest.(check bool) "stats passthrough" true (e.E.Matcher.stats () <> []);
   Alcotest.(check bool) "windowed matcher audits clean" true
     (Tric_audit.Audit.is_clean (e.E.Matcher.audit None));
-  e.E.Matcher.shutdown ();
-  (* Same through the environment. *)
-  Unix.putenv "TRIC_WINDOW" "2 EVENTS";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TRIC_WINDOW" "")
-    (fun () ->
-      let e = E.Engines.by_name "TRIC" in
-      e.E.Matcher.add_query (Helpers.pattern ~id:1 "?x -a-> ?y");
-      List.iter
-        (fun s -> ignore (e.E.Matcher.handle_update (Helpers.update s)))
-        [ "e1 -a-> t1"; "e2 -a-> t2"; "e3 -a-> t3" ];
-      Alcotest.(check int) "env window scoped" 2
-        (List.length (e.E.Matcher.current_matches 1));
-      e.E.Matcher.shutdown ());
-  Alcotest.check_raises "malformed TRIC_WINDOW"
-    (Invalid_argument "TRIC_WINDOW=\"nonsense\": bad window span \"nonsense\"")
-    (fun () ->
-      Unix.putenv "TRIC_WINDOW" "nonsense";
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "TRIC_WINDOW" "")
-        (fun () -> ignore (E.Engines.by_name "TRIC")))
+  e.E.Matcher.shutdown ()
 
 (* The batched entry point: retention and watermark advance update by
    update, engine work lands as one net-op batch per group. *)
@@ -206,7 +189,7 @@ let suite =
     Alcotest.test_case "per-spec groups isolated" `Quick test_spec_groups_isolated;
     Alcotest.test_case "audit flags suppressed expiry" `Quick
       test_audit_flags_suppressed_expiry;
-    Alcotest.test_case "registry --window / TRIC_WINDOW wiring" `Quick
+    Alcotest.test_case "registry --window wiring" `Quick
       test_registry_window;
     Alcotest.test_case "windowed handle_batch" `Quick test_window_batch;
   ]
