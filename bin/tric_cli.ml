@@ -172,7 +172,7 @@ let shards_arg =
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Shard the trie engines over $(docv) domains (default 1). Baselines are inherently sequential and ignore it.")
 
 let window_arg =
-  Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc:"Wrap the engine in a streaming window and expire old edges with retractions. $(docv) is the default window for queries without a WITHIN clause: a bare integer is a count window in edges ('1000'), a duration is an event-time window ('90s', '15m', '1h'), with optional TUMBLING/SLIDING modifier ('1h TUMBLING').")
+  Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc:"Wrap the engine in a streaming window and expire old edges with retractions. Queries with a WITHIN clause are windowed by it with or without this option. $(docv) is the default window for queries without a WITHIN clause: a bare integer is a count window in edges ('1000'), a duration is an event-time window ('90s', '15m', '1h'), with optional TUMBLING/SLIDING modifier ('1h TUMBLING').")
 
 let parse_window = function
   | None -> Ok None
@@ -180,6 +180,17 @@ let parse_window = function
     match Tric_query.Wspec.of_string spec with
     | Ok w -> Ok (Some w)
     | Error msg -> Error (Printf.sprintf "--window: %s" msg))
+
+(* The engine replay and audit run a dataset through: windowed when
+   --window gives a default or when any loaded query carries its own
+   WITHIN clause, which a bare engine would ignore. *)
+let dataset_engine ~shards ~metrics ~window name (d : W.Dataset.t) =
+  let mk () = Engine.Engines.by_name ~shards ~metrics name in
+  if
+    Option.is_some window
+    || List.exists (fun q -> Option.is_some (Tric_query.Pattern.window q)) d.W.Dataset.queries
+  then Engine.Engines.windowed_spec ?default:window mk
+  else mk ()
 
 let replay_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Dataset file.") in
@@ -197,10 +208,10 @@ let replay_cmd =
       | Error msg -> `Error (false, msg)
       | Ok window -> (
       let metrics = Option.is_some metrics_out in
-      match Engine.Engines.by_name ~shards ~metrics ?window engine_name with
+      let d = W.Dataset.load file in
+      match dataset_engine ~shards ~metrics ~window engine_name d with
       | exception Invalid_argument msg -> `Error (false, msg)
       | engine ->
-        let d = W.Dataset.load file in
         let r =
           Engine.Runner.run ?budget_s:budget ~batch_size:batch ~engine
             ~queries:d.W.Dataset.queries ~stream:d.W.Dataset.stream ()
@@ -304,10 +315,10 @@ let audit_cmd =
       | Error msg -> `Error (false, msg)
       | Ok window -> (
       let metrics = Option.is_some metrics_out in
-      match Engine.Engines.by_name ~shards ~metrics ?window engine_name with
+      let d = W.Dataset.load file in
+      match dataset_engine ~shards ~metrics ~window engine_name d with
       | exception Invalid_argument msg -> `Error (false, msg)
       | engine -> (
-        let d = W.Dataset.load file in
         let stream = churn_stream churn d.W.Dataset.stream in
         match
           Engine.Runner.run ~batch_size:batch ~audit_every:every ~engine

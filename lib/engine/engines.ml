@@ -45,18 +45,28 @@ let tric_naive_cover () =
 let windowed_spec ?slack ?default factory =
   let w = Window.make ?default ?slack factory in
   let inners () = Window.engines w in
-  let base = match inners () with e :: _ -> e.Matcher.name | [] -> "?" in
+  (* Name and shard count come from an inner engine: the default group's,
+     or — without a default, when no group exists until a query registers
+     — a probe the factory builds and shuts down at once. *)
+  let probe =
+    match inners () with
+    | e :: _ -> e
+    | [] ->
+      let e = factory () in
+      e.Matcher.shutdown ();
+      e
+  in
   let name =
     match default with
-    | Some s -> Printf.sprintf "%s/win[%s]" base (Tric_query.Wspec.to_string s)
-    | None -> Printf.sprintf "%s/win" base
+    | Some s -> Printf.sprintf "%s/win[%s]" probe.Matcher.name (Tric_query.Wspec.to_string s)
+    | None -> Printf.sprintf "%s/win" probe.Matcher.name
   in
   Matcher.make ~name
     ~description:"windowed wrapper: per-spec query groups, watermark-driven expiry"
     ~stats:(fun () -> Window.stats w)
     ~audit:(Window.audit w)
     ~handle_batch:(Window.handle_batch w)
-    ~shards:(List.fold_left (fun n e -> max n e.Matcher.shards) 1 (inners ()))
+    ~shards:probe.Matcher.shards
     ~busy_s:(fun () -> List.fold_left (fun a e -> a +. e.Matcher.busy_s ()) 0.0 (inners ()))
     ~shard_busy:(fun () ->
       match inners () with [ e ] -> e.Matcher.shard_busy () | _ -> [||])
@@ -72,24 +82,19 @@ let windowed_spec ?slack ?default factory =
     ~memory_words:(fun () -> Obj.reachable_words (Obj.repr w))
     ()
 
-let by_name ?(shards = 1) ?(metrics = false) ?window name =
-  let mk () =
-    match name with
-    | "TRIC" -> tric ~shards ~metrics ()
-    | "TRIC+" -> tric ~cache:true ~shards ~metrics ()
-    | "INV" -> inv ~metrics ()
-    | "INV+" -> inv ~cache:true ~metrics ()
-    | "INC" -> inc ~metrics ()
-    | "INC+" -> inc ~cache:true ~metrics ()
-    | "GraphDB" | "Neo4j" -> graphdb ()
-    | "NAIVE" -> naive ()
-    | "ISO" -> iso ()
-    | "TRIC-naivecover" -> tric_naive_cover ()
-    | name -> invalid_arg (Printf.sprintf "Engines.by_name: unknown engine %S" name)
-  in
-  match window with
-  | None -> mk ()
-  | Some spec -> windowed_spec ~default:spec mk
+let by_name ?(shards = 1) ?(metrics = false) name =
+  match name with
+  | "TRIC" -> tric ~shards ~metrics ()
+  | "TRIC+" -> tric ~cache:true ~shards ~metrics ()
+  | "INV" -> inv ~metrics ()
+  | "INV+" -> inv ~cache:true ~metrics ()
+  | "INC" -> inc ~metrics ()
+  | "INC+" -> inc ~cache:true ~metrics ()
+  | "GraphDB" | "Neo4j" -> graphdb ()
+  | "NAIVE" -> naive ()
+  | "ISO" -> iso ()
+  | "TRIC-naivecover" -> tric_naive_cover ()
+  | name -> invalid_arg (Printf.sprintf "Engines.by_name: unknown engine %S" name)
 
 let paper_names = [ "TRIC"; "TRIC+"; "INV"; "INV+"; "INC"; "INC+"; "GraphDB" ]
 let trie_names = [ "TRIC"; "TRIC+" ]

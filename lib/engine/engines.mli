@@ -27,14 +27,14 @@ val windowed_spec :
     [WITHIN] clause, each group running its own engine from the factory;
     [default] scopes queries without a clause (absent: they run
     unwindowed); [slack] is the watermark's allowed out-of-orderness in
-    seconds (default 0). *)
+    seconds (default 0).  The handle's name and {!Matcher.t.shards} are
+    those of the factory's engines, with or without a [default]. *)
 
-val by_name : ?shards:int -> ?metrics:bool -> ?window:Tric_query.Wspec.t -> string -> Matcher.t
+val by_name : ?shards:int -> ?metrics:bool -> string -> Matcher.t
 (** "TRIC" | "TRIC+" | "INV" | "INV+" | "INC" | "INC+" | "GraphDB" |
     "NAIVE".  [shards] (default 1) applies to the trie engines only (the
     baselines are inherently sequential).  [metrics] (default false)
-    applies to the trie and inverted-index engines.  [window] wraps the
-    engine in a {!windowed_spec} window with that default spec.
+    applies to the trie and inverted-index engines.
     @raise Invalid_argument on anything else. *)
 
 val paper_names : string list

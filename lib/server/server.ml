@@ -493,6 +493,9 @@ let handle_hello t conn cid last_seen =
 let handle_register t conn c name pattern_s =
   match Parse.pattern ~name ~id:0 pattern_s with
   | exception Parse.Syntax_error msg -> send t conn (Wire.Err { reason = "bad pattern: " ^ msg })
+  | p0 when Option.is_some (Pattern.window p0) ->
+    (* The server's engine is unwindowed: refuse rather than drop the clause. *)
+    send t conn (Wire.Err { reason = "WITHIN clauses are not supported by the server" })
   | p0 ->
     let canon = Parse.pattern_to_string p0 in
     let qid =

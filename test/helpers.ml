@@ -8,6 +8,12 @@ let edge s = Parse.edge s
 let update s = Parse.update s
 let updates l = List.map update l
 
+(* Whether [needle] occurs in [hay]. *)
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec go i = i + m <= n && (String.equal (String.sub hay i m) needle || go (i + 1)) in
+  go 0
+
 (* Deterministic PRNG so failures reproduce. *)
 let rng seed = Random.State.make [| seed |]
 
@@ -70,44 +76,32 @@ let check_reports_agree ~msg expected actual =
       Tric_engine.Report.pp
       (Tric_engine.Report.normalise actual)
 
-(* Run the same queries and stream through the oracle and an engine under
-   test, comparing reports update by update. *)
-let differential ~engine ~queries ~stream =
-  let oracle = Tric_engine.Matcher.of_naive (Tric_engine.Naive.create ()) in
-  List.iter
-    (fun q ->
-      oracle.Tric_engine.Matcher.add_query q;
-      engine.Tric_engine.Matcher.add_query q)
-    queries;
-  List.iteri
-    (fun i u ->
-      let expected = oracle.Tric_engine.Matcher.handle_update u in
-      let actual = engine.Tric_engine.Matcher.handle_update u in
-      check_reports_agree
-        ~msg:
-          (Format.asprintf "update #%d %a (engine %s)" i Update.pp u
-             engine.Tric_engine.Matcher.name)
-        expected actual)
-    stream
-
 (* The tric_cli binary dune builds next to the test binary. *)
 let cli_path () =
   let d = Filename.dirname Sys.executable_name in
   Filename.concat (Filename.concat d Filename.parent_dir_name)
     (Filename.concat "bin" "tric_cli.exe")
 
-(* Run tric_cli with [args], output discarded; fails unless it exits 0. *)
+(* Run tric_cli with [args]; fails unless it exits 0.  Returns its
+   standard output (standard error is discarded). *)
 let run_cli args =
   let bin = cli_path () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close null)
-      (fun () -> Unix.create_process bin (Array.of_list (bin :: args)) Unix.stdin null null)
-  in
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> failwith ("tric_cli " ^ String.concat " " args ^ " failed")
+  let out = Filename.temp_file "tric_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close fd;
+            Unix.close null)
+          (fun () -> Unix.create_process bin (Array.of_list (bin :: args)) Unix.stdin fd null)
+      in
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> In_channel.with_open_bin out In_channel.input_all
+      | _ -> failwith ("tric_cli " ^ String.concat " " args ^ " failed"))
 
 (* A sliding count window of the last [size] distinct edges over engines
    built by [factory]: the default scope of queries without a WITHIN

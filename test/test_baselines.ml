@@ -72,20 +72,6 @@ let test_fig11_indexes () =
   Alcotest.(check int) "nothing for unknown vertex" 0
     (List.length (Invidx.keys_with_source inv (Tric_graph.Label.intern "nobody")))
 
-let differential_case mk seed () =
-  let st = Helpers.rng seed in
-  let queries =
-    List.init 8 (fun i ->
-        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
-          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 3))
-  in
-  let stream =
-    List.init 100 (fun _ ->
-        Tric_graph.Update.add
-          (Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts))
-  in
-  Helpers.differential ~engine:(mk ()) ~queries ~stream
-
 let suite =
   Alcotest.test_case "engine names" `Quick test_names
   :: Alcotest.test_case "fig11 source/target indexes" `Quick test_fig11_indexes
@@ -96,8 +82,8 @@ let suite =
            Alcotest.test_case (name ^ " duplicate update") `Quick (test_duplicate mk);
            Alcotest.test_case (name ^ " multi-path star") `Quick (test_multi_path_query mk);
            Alcotest.test_case (name ^ " differential vs oracle") `Quick
-             (differential_case mk 42);
+             (Test_properties.check_seeded ~seed:42 ~queries:8 ~updates:100 [ name ]);
            Alcotest.test_case (name ^ " differential vs oracle II") `Quick
-             (differential_case mk 777);
+             (Test_properties.check_seeded ~seed:777 ~queries:8 ~updates:100 [ name ]);
          ])
        all_variants

@@ -141,53 +141,10 @@ let test_runner_budget () =
   Alcotest.(check bool) "timed out" true r.E.Runner.timed_out;
   Alcotest.(check bool) "truncated" true (r.E.Runner.updates_processed < 100)
 
-let deletion_differential mk () =
-  (* Interleave additions and deletions; after each update the engine's
-     full current result for each query must equal the oracle's. *)
-  let st = Helpers.rng 4242 in
-  let queries =
-    List.init 5 (fun i ->
-        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
-          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 2))
-  in
-  let engine = mk () in
-  let oracle = E.Engines.naive () in
-  List.iter
-    (fun q ->
-      engine.E.Matcher.add_query q;
-      oracle.E.Matcher.add_query q)
-    queries;
-  let live = ref [] in
-  for step = 1 to 150 do
-    let u =
-      if !live <> [] && Random.State.int st 100 < 25 then begin
-        let e = List.nth !live (Random.State.int st (List.length !live)) in
-        live := List.filter (fun e' -> not (Edge.equal e e')) !live;
-        Update.remove e
-      end
-      else begin
-        let e = Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts in
-        live := e :: !live;
-        Update.add e
-      end
-    in
-    ignore (oracle.E.Matcher.handle_update u);
-    ignore (engine.E.Matcher.handle_update u);
-    List.iter
-      (fun q ->
-        let qid = Tric_query.Pattern.id q in
-        let expected =
-          List.sort Tric_rel.Embedding.compare (oracle.E.Matcher.current_matches qid)
-        in
-        let got =
-          List.sort Tric_rel.Embedding.compare (engine.E.Matcher.current_matches qid)
-        in
-        if not (List.length expected = List.length got && List.for_all2 Tric_rel.Embedding.equal expected got)
-        then
-          Alcotest.failf "step %d (%a): query %d state diverged (oracle %d vs %d)" step
-            Update.pp u qid (List.length expected) (List.length got))
-      queries
-  done
+(* Interleaved additions and removals of live edges, checked against the
+   oracle after every update. *)
+let deletion name =
+  Test_properties.check_seeded ~churn:25 ~seed:4242 ~queries:5 ~updates:150 [ name ]
 
 let test_engine_stats () =
   (* Every engine exposes non-trivial counters after some activity. *)
@@ -302,16 +259,11 @@ let suite =
     Alcotest.test_case "runner duplicate checkpoints" `Quick
       test_runner_duplicate_checkpoints;
     Alcotest.test_case "runner batched replay" `Quick test_runner_batched;
-    Alcotest.test_case "deletion differential (TRIC)" `Quick
-      (deletion_differential (fun () -> E.Engines.tric ()));
-    Alcotest.test_case "deletion differential (TRIC+)" `Quick
-      (deletion_differential (fun () -> E.Engines.tric ~cache:true ()));
-    Alcotest.test_case "deletion differential (INV)" `Quick
-      (deletion_differential (fun () -> E.Engines.inv ()));
-    Alcotest.test_case "deletion differential (INC+)" `Quick
-      (deletion_differential (fun () -> E.Engines.inc ~cache:true ()));
-    Alcotest.test_case "deletion differential (GraphDB)" `Quick
-      (deletion_differential (fun () -> E.Engines.graphdb ()));
+    Alcotest.test_case "deletion differential (TRIC)" `Quick (deletion "TRIC");
+    Alcotest.test_case "deletion differential (TRIC+)" `Quick (deletion "TRIC+");
+    Alcotest.test_case "deletion differential (INV)" `Quick (deletion "INV");
+    Alcotest.test_case "deletion differential (INC+)" `Quick (deletion "INC+");
+    Alcotest.test_case "deletion differential (GraphDB)" `Quick (deletion "GraphDB");
     Alcotest.test_case "mid-stream query addition" `Quick test_midstream_query_addition;
     Alcotest.test_case "engine stats" `Quick test_engine_stats;
     Alcotest.test_case "runner empty stream" `Quick test_runner_empty_stream;

@@ -208,21 +208,6 @@ let test_continuous_basics () =
     "MATCH (v0:V)-[:a]->(v1:V), (v1)-[:b]->(v2:V) RETURN v0, v1, v2"
     (Continuous.cypher_of c 1)
 
-let differential_case seed () =
-  let st = Helpers.rng seed in
-  let queries =
-    List.init 6 (fun i ->
-        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
-          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 3))
-  in
-  let stream =
-    List.init 80 (fun _ ->
-        Tric_graph.Update.add
-          (Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts))
-  in
-  let engine = Engine.Matcher.of_graphdb (Continuous.create ()) in
-  Helpers.differential ~engine ~queries ~stream
-
 let suite =
   [
     Alcotest.test_case "store basics" `Quick test_store_basics;
@@ -235,6 +220,8 @@ let suite =
     Alcotest.test_case "WHERE conditions" `Quick test_where_conditions;
     Alcotest.test_case "value semantics" `Quick test_value_semantics;
     Alcotest.test_case "continuous wrapper basics" `Quick test_continuous_basics;
-    Alcotest.test_case "continuous differential vs oracle" `Quick (differential_case 42);
-    Alcotest.test_case "continuous differential vs oracle II" `Quick (differential_case 99);
+    Alcotest.test_case "continuous differential vs oracle" `Quick
+      (Test_properties.check_seeded ~seed:42 ~queries:6 ~updates:80 [ "GraphDB" ]);
+    Alcotest.test_case "continuous differential vs oracle II" `Quick
+      (Test_properties.check_seeded ~seed:99 ~queries:6 ~updates:80 [ "GraphDB" ]);
   ]

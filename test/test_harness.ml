@@ -4,11 +4,6 @@
 module H = Tric_harness
 module E = Tric_engine
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let test_config () =
   let c = H.Config.default in
   Alcotest.(check int) "scaled" 4_000 (H.Config.scaled c 100_000);
@@ -85,8 +80,8 @@ let test_run_one_tiny () =
   | None -> Alcotest.fail "experiment missing");
   Format.pp_print_flush fmt ();
   let out = Buffer.contents buf in
-  Alcotest.(check bool) "mentions TRIC" true (contains out "TRIC");
-  Alcotest.(check bool) "mentions ISO" true (contains out "ISO")
+  Alcotest.(check bool) "mentions TRIC" true (Helpers.contains out "TRIC");
+  Alcotest.(check bool) "mentions ISO" true (Helpers.contains out "ISO")
 
 let suite =
   [

@@ -308,15 +308,10 @@ let test_snapshot_exports () =
   (match O.Json.member "mem" (O.Snapshot.envelope ~engine:"TEST" ~mem:[||] snap) with
   | None -> ()
   | Some _ -> Alcotest.fail "empty mem array should be omitted");
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   let prom = O.Snapshot.to_prometheus snap in
   List.iter
     (fun needle ->
-      if not (contains needle prom) then
+      if not (Helpers.contains prom needle) then
         Alcotest.failf "prometheus text missing %S:@.%s" needle prom)
     [
       "updates_total 7";
@@ -410,24 +405,11 @@ let test_invidx_metrics_smoke () =
 let prop_stable_metrics_shard_invariant =
   QCheck2.Test.make ~count:30
     ~name:"stable-metrics JSON identical at shards=1 and shards=4"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 3) Test_properties.gen_pattern_spec)
-        Test_properties.gen_mixed_stream)
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all Test_properties.valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match Test_properties.build_pattern ~id:(i + 1) spec with
-            | q when Tric_query.Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
+    (Test_properties.gen_case ~updates:80 ~churn:true ~timed:false ())
+    (fun (qspecs, ops, _) ->
+      let queries = Test_properties.queries_of qspecs in
       QCheck2.assume (queries <> []);
-      let updates = Test_properties.updates_of_mixed sspec in
+      let updates = Test_properties.updates_of ops in
       (* Half the stream per-update, the rest as one micro-batch, so both
          dispatch paths feed the compared counters. *)
       let split = List.length updates / 2 in

@@ -1,22 +1,54 @@
 (* Property-based tests (qcheck, registered as alcotest cases).
 
-   Invariants covered:
-   - covering-path extraction always covers every vertex and edge, for
-     both strategies, on arbitrary connected patterns;
-   - all engines agree with the naive oracle on arbitrary streams
-     (the end-to-end correctness property);
-   - micro-batched ingestion is equivalent to sequential replay on
-     random add/remove windows, including intra-batch cancellation;
-   - relations behave as deduplicated sets under random insert/remove,
-     with cached indexes staying consistent with rebuilt ones;
-   - embedding merge is commutative and conflict-symmetric;
-   - trie insertion shares prefixes: inserting the same path twice never
-     creates nodes, and node count equals the number of distinct prefixes
-     of all inserted words. *)
+   The engines' shared claim — the same answers under the same semantics —
+   is checked by one differential matrix: one generator ([gen_case]), one
+   oracle stepper ([step]: the naive evaluator, with an explicit removal
+   injected for every window expiry) and one per-step checker ([run]),
+   driven by the rows of [matrix]:
+
+     row                                engines (@shards, b = batched)      window        churn
+     <E> agrees with oracle ...         each paper engine @1                none          no
+     TRIC/TRIC+ = oracle under ...      TRIC, TRIC+ @1                      none          yes
+     baselines = oracle under ...       INV, INV+, INC, INC+, GraphDB       none          yes
+     handle_batch = sequential ...      TRIC, TRIC+ @1 b                    none          yes
+     sharded (1/2/4 domains) ...        TRIC @1/2/4, TRIC+ @2/4             none          yes
+     sharded handle_batch ...           TRIC @1/2/4/8 b, TRIC+ @4 b         none          yes
+     packed row-store ...               TRIC @1, TRIC+ @4, TRIC+ @1 b,      none, drain   yes
+                                        TRIC @4 b
+     window engine = suffix             TRIC @1                             6 EVENTS      no
+     windowed TRIC/TRIC+ ... (six)      TRIC @1, TRIC @1 b, TRIC+ @1,       8s            yes
+                                        TRIC+ @4, TRIC+ @1 b, TRIC+ @4 b
+     per-query WITHIN, no default       TRIC+ @2 (clause on each query)     8s            yes
+
+   The checker asserts, for every engine of a row:
+   - per-update engines: each report equals the oracle's, except when the
+     trigger's own edge expired in the same wave (the window folds the
+     remove+re-add the oracle reports verbatim); unwindowed TRIC/TRIC+
+     dispatch each op to exactly the shards owning one of its edge's keys
+     ([fanout]: no broadcast, no skipped owner);
+   - batched engines: each batch report equals that of a 1-shard TRIC
+     reference under the same window;
+   - after every update (per-update) or barrier (batched): current
+     matches equal the oracle's (its result summed from its own reports,
+     checked against its recomputation at the end), the audit is clean against the live (or
+     unexpired) edge set, the packed arenas' accounting is sane
+     (live + free <= capacity), [shards] is the configured count, and
+     TRIC and TRIC+ at the same shard count and mode hold equally many
+     view tuples;
+   - with [drain]: removing every live edge leaves zero live arena rows.
+
+   [check_seeded] replays a fixed seeded input (the paper's chain, star and
+   cycle shapes from [Helpers.random_pattern]) through the same stepper
+   and checker, so a fixed-input floor survives QCheck's per-run seed.
+
+   The remaining properties cover the building blocks: covering paths,
+   relation set semantics, embedding merge, trie prefix sharing, edge-key
+   generalisation and journal recovery. *)
 
 open Tric_graph
 open Tric_query
 open Tric_rel
+module E = Tric_engine
 
 let elabels = [ "a"; "b"; "c" ]
 let vconsts = [ "v1"; "v2"; "v3"; "v4" ]
@@ -59,10 +91,414 @@ let build_pattern ~id spec =
     spec;
   Pattern.Builder.build b
 
-let valid_spec spec =
-  (* The builder rejects edge-free patterns; duplicates collapsing to an
-     isolated vertex can't happen by construction. *)
-  spec <> []
+(* -- The generator ----------------------------------------------------------- *)
+
+(* One case: up to [queries] (default 3) queries, a stream of up to
+   [updates] (default 60) updates over a 3-label, 4-constant vocabulary
+   (so removals of live edges, no-op removals of absent ones and re-adds
+   all occur constantly), each with a gap to the previous event time,
+   and a micro-batch size.  [churn] draws removals; [timed] draws gaps up
+   to 5 (else every event time is 0). *)
+let gen_case ?(queries = 3) ?(updates = 60) ~churn ~timed () =
+  QCheck2.Gen.(
+    triple
+      (list_size (int_range 1 queries) gen_pattern_spec)
+      (list_size (int_range 1 updates)
+         (pair
+            (quad
+               (if churn then bool else pure true)
+               (int_bound (List.length elabels - 1))
+               (int_bound (List.length vconsts - 1))
+               (int_bound (List.length vconsts - 1)))
+            (if timed then int_range 0 5 else pure 0)))
+      (int_range 1 10))
+
+(* The connected patterns of a case, ids from 1. *)
+let queries_of qspecs =
+  List.mapi
+    (fun i spec ->
+      match build_pattern ~id:(i + 1) spec with
+      | q when Pattern.is_connected q -> Some q
+      | _ -> None
+      | exception Invalid_argument _ -> None)
+    qspecs
+  |> List.filter_map Fun.id
+
+let updates_of ops =
+  let ts = ref 0 in
+  List.map
+    (fun ((add, li, si, di), gap) ->
+      ts := !ts + gap;
+      let e =
+        Edge.of_strings (List.nth elabels li) (List.nth vconsts si) (List.nth vconsts di)
+      in
+      if add then Update.add ~ts:!ts e else Update.remove ~ts:!ts e)
+    ops
+
+let print_case (qspecs, ops, batch) =
+  Format.asprintf "queries=[%s] stream=[%a] batch=%d"
+    (String.concat " | " (List.map Parse.pattern_to_string (queries_of qspecs)))
+    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") Update.pp)
+    (updates_of ops) batch
+
+(* -- The oracle stepper ------------------------------------------------------ *)
+
+(* How a row scopes its queries: not at all, by the window's default spec,
+   or by a WITHIN clause on every query (no default). *)
+type window = Unbounded | Default of Wspec.t | Clause of Wspec.t
+
+module Eset = Set.Make (Embedding)
+
+type oracle = {
+  naive : E.Naive.t;
+  spec : Wspec.t option;  (* sliding count or time windows only *)
+  live : int Edge.Tbl.t;  (* live edge -> time deadline, or arrival stamp *)
+  mutable wm : int;  (* event-time watermark (no slack) *)
+  mutable arrivals : int;
+  current : (int, Eset.t) Hashtbl.t;
+      (* qid -> current result, summed from the oracle's own reports and
+         checked against its recomputation when a run ends *)
+}
+
+let current o qid = Option.value ~default:Eset.empty (Hashtbl.find_opt o.current qid)
+
+(* One oracle update, its report folded into [current]. *)
+let naive_update o u =
+  let r = E.Naive.handle_update o.naive u in
+  let fold f =
+    List.iter (fun (qid, es) ->
+        Hashtbl.replace o.current qid (List.fold_right f es (current o qid)))
+  in
+  fold Eset.remove r.E.Report.retractions;
+  fold Eset.add r.E.Report.matches;
+  r
+
+(* The edges [u] expires, in the window's own order: time windows first
+   advance the watermark; a sliding count window evicts its least
+   recently arrived (or refreshed) edge when a new one overflows it. *)
+let expiring o (u : Update.t) =
+  match (o.spec, u.Update.op) with
+  | Some (Wspec.Time _), _ ->
+    o.wm <- max o.wm u.Update.ts;
+    Edge.Tbl.fold (fun e d acc -> if d <= o.wm then e :: acc else acc) o.live []
+  | Some (Wspec.Count { size; _ }), Update.Add e
+    when (not (Edge.Tbl.mem o.live e)) && Edge.Tbl.length o.live >= size ->
+    let oldest, _ =
+      Edge.Tbl.fold
+        (fun e a (best, b) -> if a < b then (Some e, a) else (best, b))
+        o.live (None, max_int)
+    in
+    Option.to_list oldest
+  | _ -> []
+
+(* Replay one update, expiry removals first; returns the expired edges
+   and the merged report. *)
+let step o (u : Update.t) =
+  let expired = expiring o u in
+  let retractions =
+    List.map
+      (fun e ->
+        Edge.Tbl.remove o.live e;
+        naive_update o (Update.remove e))
+      expired
+  in
+  (match u.Update.op with
+  | Update.Add e ->
+    o.arrivals <- o.arrivals + 1;
+    Edge.Tbl.replace o.live e
+      (match o.spec with
+      | Some (Wspec.Time _ as s) -> Wspec.deadline s ~ts:u.Update.ts
+      | _ -> o.arrivals)
+  | Update.Remove e -> Edge.Tbl.remove o.live e);
+  let trigger = naive_update o u in
+  (expired, E.Report.merge (retractions @ [ trigger ]))
+
+(* -- The checker ------------------------------------------------------------- *)
+
+type engine = { name : string; shards : int; batched : bool }
+
+let engine ?(shards = 1) ?(batched = false) name = { name; shards; batched }
+
+let label e =
+  Printf.sprintf "%s@%d%s" e.name e.shards (if e.batched then " batched" else "")
+
+let build e window =
+  let mk () = E.Engines.by_name ~shards:e.shards e.name in
+  match window with
+  | Unbounded -> mk ()
+  | Default spec -> E.Engines.windowed_spec ~default:spec mk
+  | Clause _ -> E.Engines.windowed_spec mk
+
+(* Owner-targeted dispatch, modelled from the queries alone: each
+   covering word's keys live on the shard its trie is placed on, so an
+   op reaches exactly the shards owning a key of its edge. *)
+let fanout ~shards queries =
+  let masks = Ekey.Tbl.create 16 in
+  let mask k = Option.value ~default:0 (Ekey.Tbl.find_opt masks k) in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun p ->
+          let word = Path.keys q p in
+          let bit = 1 lsl Tric_core.Route.place ~shards word in
+          List.iter (fun k -> Ekey.Tbl.replace masks k (bit lor mask k)) word)
+        (Cover.extract q))
+    queries;
+  fun e ->
+    Tric_core.Route.popcount
+      (List.fold_left (fun m k -> m lor mask k) 0 (Ekey.keys_of_edge e))
+
+let dispatched (m : E.Matcher.t) =
+  Option.value ~default:0 (List.assoc_opt "ops_dispatched" (m.stats ()))
+
+(* Fail naming the step [at] describes (built only on failure). *)
+let fail at fmt = Format.kasprintf (fun s -> failwith (at () ^ ": " ^ s)) fmt
+
+let rec chunks n = function
+  | [] -> []
+  | us ->
+    let h = List.filteri (fun i _ -> i < n) us in
+    h :: chunks n (List.filteri (fun i _ -> i >= n) us)
+
+(* Replay [updates] over [queries] through the oracle and every engine,
+   asserting the checks listed at the top of the file; raises [Failure]
+   naming the first divergence. *)
+let run ~engines ~window ~drain ~batch queries updates =
+  let spec, queries =
+    match window with
+    | Unbounded -> (None, queries)
+    | Default s -> (Some s, queries)
+    | Clause s -> (Some s, List.map (fun q -> Pattern.with_window q (Some s)) queries)
+  in
+  let o =
+    {
+      naive = E.Naive.create ();
+      spec;
+      live = Edge.Tbl.create 64;
+      wm = min_int;
+      arrivals = 0;
+      current = Hashtbl.create 8;
+    }
+  in
+  let handles = List.map (fun e -> (e, build e window)) engines in
+  let per_update = List.filter (fun (e, _) -> not e.batched) handles in
+  let batched = List.filter (fun (e, _) -> e.batched) handles in
+  let reference = if batched = [] then None else Some (build (engine "TRIC") window) in
+  let all = Option.to_list reference @ List.map snd handles in
+  let sorted m = List.sort_uniq Embedding.compare m in
+  let owners = List.map (fun e -> (e.shards, fanout ~shards:e.shards queries)) engines in
+  let check at = function
+    | [] -> ()
+    | hs ->
+      let live = Edge.Tbl.fold (fun e _ acc -> e :: acc) o.live [] in
+      let expected =
+        List.map (fun q -> (Pattern.id q, Eset.elements (current o (Pattern.id q)))) queries
+      in
+      List.iter
+        (fun (e, (m : E.Matcher.t)) ->
+          List.iter
+            (fun (qid, exp) ->
+              let got = sorted (m.current_matches qid) in
+              if not (List.equal Embedding.equal exp got) then
+                fail at "%s: Q%d has %d current matches, oracle %d" (label e) qid
+                  (List.length got) (List.length exp))
+            expected;
+          (match m.audit (Some live) with
+          | [] -> ()
+          | findings ->
+            fail at "%s: audit: %a" (label e) Tric_audit.Audit.pp_report findings);
+          if
+            not
+              (Array.for_all
+                 (fun (cap, rows, free) -> rows >= 0 && free >= 0 && rows + free <= cap)
+                 (m.mem ()))
+          then fail at "%s: arena accounting exceeds capacity" (label e);
+          if m.shards <> e.shards then fail at "%s: reports %d shards" (label e) m.shards)
+        hs;
+      (* The two cache modes share one trie: equal view cardinalities. *)
+      let views (m : E.Matcher.t) = List.assoc_opt "view_tuples" (m.stats ()) in
+      List.iter
+        (fun (e, m) ->
+          List.iter
+            (fun (e', m') ->
+              if e.name = "TRIC" && e'.name = "TRIC+" && e.shards = e'.shards && views m <> views m'
+              then fail at "%s and %s hold different view tuple counts" (label e) (label e'))
+            hs)
+        hs
+  in
+  let chunk i us =
+    List.iteri
+      (fun j u ->
+        let at () = Format.asprintf "update #%d %a" (i + j) Update.pp u in
+        let expired, expected = step o u in
+        let collision = List.exists (Edge.equal (Update.edge u)) expired in
+        List.iter
+          (fun (e, (m : E.Matcher.t)) ->
+            let targeted = window = Unbounded && List.mem e.name E.Engines.trie_names in
+            let before = if targeted then dispatched m else 0 in
+            let got = m.handle_update u in
+            if not (collision || E.Report.equal expected got) then
+              fail at "%s: report@.%a@.oracle@.%a" (label e) E.Report.pp
+                (E.Report.normalise got) E.Report.pp (E.Report.normalise expected);
+            let want = List.assoc e.shards owners (Update.edge u) in
+            if targeted && dispatched m - before <> want then
+              fail at "%s: dispatched to %d shards, owners %d" (label e) (dispatched m - before)
+                want)
+          per_update;
+        check at per_update)
+      us;
+    match reference with
+    | None -> ()
+    | Some r ->
+      let at () = Printf.sprintf "batch at update #%d" i in
+      let expected = r.handle_batch us in
+      List.iter
+        (fun (e, (m : E.Matcher.t)) ->
+          let got = m.handle_batch us in
+          if not (E.Report.equal expected got) then
+            fail at "%s: report@.%a@.1-shard TRIC@.%a" (label e) E.Report.pp
+              (E.Report.normalise got) E.Report.pp (E.Report.normalise expected))
+        batched;
+      check at batched
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (m : E.Matcher.t) -> m.shutdown ()) all)
+    (fun () ->
+      List.iter
+        (fun q ->
+          E.Naive.add_query o.naive q;
+          List.iter (fun (m : E.Matcher.t) -> m.add_query q) all)
+        queries;
+      List.iteri (fun k us -> chunk (k * batch) us) (chunks batch updates);
+      List.iter
+        (fun q ->
+          let qid = Pattern.id q in
+          let recomputed = sorted (E.Naive.current_matches o.naive qid) in
+          if not (List.equal Embedding.equal (Eset.elements (current o qid)) recomputed) then
+            fail (fun () -> "oracle") "Q%d: reports do not add up to the recomputed result" qid)
+        queries;
+      if drain then begin
+        chunk (List.length updates)
+          (Edge.Tbl.fold (fun e _ acc -> Update.remove e :: acc) o.live []);
+        List.iter
+          (fun (e, (m : E.Matcher.t)) ->
+            if Array.exists (fun (_, rows, _) -> rows <> 0) (m.mem ()) then
+              fail (fun () -> "drain") "%s: live arena rows remain" (label e))
+          handles
+      end)
+
+type row = {
+  row : string;
+  count : int;
+  queries : int;
+  engines : engine list;
+  window : window;
+  churn : bool;
+  drain : bool;
+}
+
+let row ?(queries = 3) ?(window = Unbounded) ?(churn = true) ?(drain = false) ~count row
+    engines =
+  { row; count; queries; engines; window; churn; drain }
+
+let timed = Wspec.Time { shape = Wspec.Sliding; span = 8 }
+
+let windowed ~count ~cache ~shards ~batched =
+  let e = engine ~shards ~batched (if cache then "TRIC+" else "TRIC") in
+  row ~window:(Default timed) ~count
+    (Printf.sprintf "windowed %s (%d shard%s%s) = expiry-replaying oracle" e.name shards
+       (if shards = 1 then "" else "s")
+       (if batched then ", batched" else ""))
+    [ e ]
+
+let matrix =
+  List.map
+    (fun name ->
+      row ~queries:4 ~churn:false ~count:40
+        (Printf.sprintf "%s agrees with oracle on random streams" name)
+        [ engine name ])
+    E.Engines.paper_names
+  @ [
+      row ~count:30 "TRIC/TRIC+ = oracle under interleaved add/remove/re-add"
+        [ engine "TRIC"; engine "TRIC+" ];
+      row ~count:30 "baselines = oracle under interleaved add/remove/re-add"
+        (List.map engine [ "INV"; "INV+"; "INC"; "INC+"; "GraphDB" ]);
+      row ~count:30 "handle_batch = sequential handle_update (TRIC, TRIC+, oracle)"
+        [ engine ~batched:true "TRIC"; engine ~batched:true "TRIC+" ];
+      row ~count:25 "sharded (1/2/4 domains) = sequential TRIC/TRIC+ per update"
+        [
+          engine "TRIC";
+          engine ~shards:2 "TRIC";
+          engine ~shards:4 "TRIC";
+          engine ~shards:2 "TRIC+";
+          engine ~shards:4 "TRIC+";
+        ];
+      row ~count:25 "sharded handle_batch = sequential handle_batch (1/2/4/8 domains)"
+        (List.map
+           (fun (shards, name) -> engine ~shards ~batched:true name)
+           [ (1, "TRIC"); (2, "TRIC"); (4, "TRIC"); (8, "TRIC"); (4, "TRIC+") ]);
+      row ~drain:true ~count:20
+        "packed row-store = boxed oracle (1/4 shards, add/remove + batch + drain)"
+        [
+          engine "TRIC";
+          engine ~shards:4 "TRIC+";
+          engine ~batched:true "TRIC+";
+          engine ~shards:4 ~batched:true "TRIC";
+        ];
+      row ~churn:false ~count:60
+        ~window:(Default (Wspec.Count { shape = Wspec.Sliding; size = 6 }))
+        "window engine = evaluation over suffix" [ engine "TRIC" ];
+      windowed ~count:20 ~cache:false ~shards:1 ~batched:false;
+      windowed ~count:20 ~cache:false ~shards:1 ~batched:true;
+      windowed ~count:20 ~cache:true ~shards:1 ~batched:false;
+      windowed ~count:10 ~cache:true ~shards:4 ~batched:false;
+      windowed ~count:20 ~cache:true ~shards:1 ~batched:true;
+      windowed ~count:10 ~cache:true ~shards:4 ~batched:true;
+      row ~window:(Clause timed) ~count:10
+        "per-query WITHIN without a default (2 shards) = expiry-replaying oracle"
+        [ engine ~shards:2 "TRIC+" ];
+    ]
+
+let prop_of_row r =
+  let timed =
+    match r.window with Default (Wspec.Time _) | Clause (Wspec.Time _) -> true | _ -> false
+  in
+  QCheck2.Test.make ~count:r.count ~print:print_case ~name:r.row
+    (gen_case ~queries:r.queries ~churn:r.churn ~timed ())
+    (fun (qspecs, ops, batch) ->
+      let queries = queries_of qspecs in
+      QCheck2.assume (queries <> []);
+      run ~engines:r.engines ~window:r.window ~drain:r.drain ~batch queries (updates_of ops);
+      true)
+
+(* The fixed-input entry point: [queries] seeded patterns in the paper's
+   query shapes and [updates] updates, each a removal of a random live
+   edge with probability [churn] percent and otherwise an addition of a
+   random edge, replayed per update through [run]. *)
+let check_seeded ?(churn = 0) ~seed ~queries ~updates names () =
+  let st = Helpers.rng seed in
+  let queries =
+    List.init queries (fun i ->
+        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
+          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 3))
+  in
+  let live = ref [] in
+  let stream =
+    List.init updates (fun _ ->
+        if !live <> [] && Random.State.int st 100 < churn then begin
+          let e = List.nth !live (Random.State.int st (List.length !live)) in
+          live := List.filter (fun e' -> not (Edge.equal e e')) !live;
+          Update.remove e
+        end
+        else begin
+          let e = Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts in
+          live := e :: !live;
+          Update.add e
+        end)
+  in
+  run ~engines:(List.map engine names) ~window:Unbounded ~drain:false ~batch:1 queries stream
+
+(* -- Building blocks ---------------------------------------------------------- *)
 
 let prop_cover_covers strategy =
   QCheck2.Test.make ~count:300
@@ -71,640 +507,11 @@ let prop_cover_covers strategy =
          (match strategy with Cover.Upstream -> "upstream" | Cover.Naive -> "naive"))
     gen_pattern_spec
     (fun spec ->
-      QCheck2.assume (valid_spec spec);
       match build_pattern ~id:1 spec with
       | exception Invalid_argument _ -> QCheck2.assume_fail ()
       | q ->
         if not (Pattern.is_connected q) then QCheck2.assume_fail ()
         else Cover.covers q (Cover.extract ~strategy q))
-
-let gen_stream_spec =
-  QCheck2.Gen.(
-    list_size (int_range 1 60)
-      (triple (int_bound (List.length elabels - 1))
-         (int_bound (List.length vconsts - 1))
-         (int_bound (List.length vconsts - 1))))
-
-let edges_of_spec spec =
-  List.map
-    (fun (li, si, di) ->
-      Edge.of_strings (List.nth elabels li) (List.nth vconsts si) (List.nth vconsts di))
-    spec
-
-let print_case (qspecs, sspec) =
-  let term = function `Var i -> Printf.sprintf "?x%d" i | `Const i -> List.nth vconsts i in
-  let spec_to_string spec =
-    String.concat "; "
-      (List.map (fun (li, s, d) -> Printf.sprintf "%s -%s-> %s" (term s) (List.nth elabels li) (term d)) spec)
-  in
-  Printf.sprintf "queries=[%s] stream=[%s]"
-    (String.concat " | " (List.map spec_to_string qspecs))
-    (String.concat "; "
-       (List.map
-          (fun (li, si, di) ->
-            Printf.sprintf "%s -%s-> %s" (List.nth vconsts si) (List.nth elabels li)
-              (List.nth vconsts di))
-          sspec))
-
-let prop_engine_agrees name mk =
-  QCheck2.Test.make ~count:40 ~print:print_case
-    ~name:(Printf.sprintf "%s agrees with oracle on random streams" name)
-    QCheck2.Gen.(pair (list_size (int_range 1 4) gen_pattern_spec) gen_stream_spec)
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.filteri (fun _ _ -> true) qspecs
-        |> List.mapi (fun i spec ->
-               match build_pattern ~id:(i + 1) spec with
-               | q when Pattern.is_connected q -> Some q
-               | _ -> None
-               | exception Invalid_argument _ -> None)
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let engine = mk () in
-      let oracle = Tric_engine.Engines.naive () in
-      List.iter
-        (fun q ->
-          engine.Tric_engine.Matcher.add_query q;
-          oracle.Tric_engine.Matcher.add_query q)
-        queries;
-      List.for_all
-        (fun e ->
-          let u = Update.add e in
-          Tric_engine.Report.equal
-            (oracle.Tric_engine.Matcher.handle_update u)
-            (engine.Tric_engine.Matcher.handle_update u))
-        (edges_of_spec sspec))
-
-let print_mixed_case (qspecs, sspec) =
-  let term = function `Var i -> Printf.sprintf "?x%d" i | `Const i -> List.nth vconsts i in
-  let spec_to_string spec =
-    String.concat "; "
-      (List.map (fun (li, s, d) -> Printf.sprintf "%s -%s-> %s" (term s) (List.nth elabels li) (term d)) spec)
-  in
-  Printf.sprintf "queries=[%s] stream=[%s]"
-    (String.concat " | " (List.map spec_to_string qspecs))
-    (String.concat "; "
-       (List.map
-          (fun (add, li, si, di) ->
-            Printf.sprintf "%s%s -%s-> %s" (if add then "+" else "-") (List.nth vconsts si)
-              (List.nth elabels li) (List.nth vconsts di))
-          sspec))
-
-(* The stream generator draws add/remove ops over a 4-constant, 3-label
-   vocabulary, so removals of live edges, no-op removals of absent edges,
-   and re-adds of previously removed edges all occur constantly.  After
-   EVERY update, TRIC and TRIC+ must match the naive oracle's report and
-   full current result, and must agree with each other on the materialized
-   view cardinalities (their tries are identical, so any divergence is a
-   maintenance bug in one cache mode). *)
-let prop_engines_agree_under_deletions =
-  QCheck2.Test.make ~count:30 ~print:print_mixed_case
-    ~name:"TRIC/TRIC+ = oracle under interleaved add/remove/re-add"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 3) gen_pattern_spec)
-        (list_size (int_range 1 60)
-           (quad bool (int_bound (List.length elabels - 1))
-              (int_bound (List.length vconsts - 1))
-              (int_bound (List.length vconsts - 1)))))
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let oracle = Tric_engine.Naive.create () in
-      let tric = Tric_core.Tric.create () in
-      let tricp = Tric_core.Tric.create ~cache:true () in
-      List.iter
-        (fun q ->
-          Tric_engine.Naive.add_query oracle q;
-          Tric_core.Tric.add_query tric q;
-          Tric_core.Tric.add_query tricp q)
-        queries;
-      let matches_agree qid =
-        let sorted m = List.sort_uniq Embedding.compare m in
-        let exp = sorted (Tric_engine.Naive.current_matches oracle qid) in
-        let a = sorted (Tric_core.Tric.current_matches tric qid) in
-        let b = sorted (Tric_core.Tric.current_matches tricp qid) in
-        List.length exp = List.length a
-        && List.for_all2 Embedding.equal exp a
-        && List.length exp = List.length b
-        && List.for_all2 Embedding.equal exp b
-      in
-      (* Audit postcondition: after every update both cache modes must be
-         certifiably coherent against the ground-truth edge set — the
-         sanitizer closes over internal state the black-box report
-         comparison cannot see (indexes, caches, accounting). *)
-      let live = Edge.Tbl.create 64 in
-      let audit_clean t =
-        let edges = Edge.Tbl.fold (fun e () acc -> e :: acc) live [] in
-        Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges t)
-      in
-      List.for_all
-        (fun u ->
-          let expected = Tric_engine.Naive.handle_update oracle u in
-          let r1 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_update tric u) in
-          let r2 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_update tricp u) in
-          (match u.Update.op with
-          | Update.Add e -> Edge.Tbl.replace live e ()
-          | Update.Remove e -> Edge.Tbl.remove live e);
-          Tric_engine.Report.equal expected r1
-          && Tric_engine.Report.equal expected r2
-          && (Tric_core.Tric.stats tric).Tric_core.Tric.view_tuples
-             = (Tric_core.Tric.stats tricp).Tric_core.Tric.view_tuples
-          && audit_clean tric && audit_clean tricp
-          && List.for_all (fun q -> matches_agree (Pattern.id q)) queries)
-        (List.map
-           (fun (add, li, si, di) ->
-             let e =
-               Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                 (List.nth vconsts di)
-             in
-             if add then Update.add e else Update.remove e)
-           sspec))
-
-let print_batch_case ((qspecs, sspec), window) =
-  Printf.sprintf "window=%d %s" window (print_mixed_case (qspecs, sspec))
-
-(* Batched ingestion must be a pure optimisation: chopping a random
-   add/remove stream into windows and feeding each through [handle_batch]
-   must leave TRIC, TRIC+ and the naive oracle with exactly the matches a
-   sequential [handle_update] replay produces.  The 48-edge vocabulary
-   with windows up to 10 constantly produces intra-batch duplicates and
-   add+remove of the same edge, which is where net-op folding could go
-   wrong.  TRIC and TRIC+ batch reports must also agree with each other
-   (same trie, different cache modes). *)
-let prop_batch_equals_sequential =
-  QCheck2.Test.make ~count:30 ~print:print_batch_case
-    ~name:"handle_batch = sequential handle_update (TRIC, TRIC+, oracle)"
-    QCheck2.Gen.(
-      pair
-        (pair
-           (list_size (int_range 1 3) gen_pattern_spec)
-           (list_size (int_range 1 60)
-              (quad bool (int_bound (List.length elabels - 1))
-                 (int_bound (List.length vconsts - 1))
-                 (int_bound (List.length vconsts - 1)))))
-        (int_range 1 10))
-    (fun ((qspecs, sspec), window) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let seq = Tric_core.Tric.create () in
-      let tric = Tric_core.Tric.create () in
-      let tricp = Tric_core.Tric.create ~cache:true () in
-      let oracle = Tric_engine.Engines.naive () in
-      List.iter
-        (fun q ->
-          Tric_core.Tric.add_query seq q;
-          Tric_core.Tric.add_query tric q;
-          Tric_core.Tric.add_query tricp q;
-          oracle.Tric_engine.Matcher.add_query q)
-        queries;
-      let updates =
-        List.map
-          (fun (add, li, si, di) ->
-            let e =
-              Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                (List.nth vconsts di)
-            in
-            if add then Update.add e else Update.remove e)
-          sspec
-      in
-      let rec windows = function
-        | [] -> []
-        | us ->
-          let n = min window (List.length us) in
-          List.filteri (fun i _ -> i < n) us
-          :: windows (List.filteri (fun i _ -> i >= n) us)
-      in
-      let matches_agree qid =
-        let sorted m = List.sort_uniq Embedding.compare m in
-        let exp = sorted (Tric_core.Tric.current_matches seq qid) in
-        let agree got =
-          List.length exp = List.length got && List.for_all2 Embedding.equal exp got
-        in
-        agree (sorted (Tric_core.Tric.current_matches tric qid))
-        && agree (sorted (Tric_core.Tric.current_matches tricp qid))
-        && agree (sorted (oracle.Tric_engine.Matcher.current_matches qid))
-      in
-      (* Audit postcondition: after every window, batched maintenance (with
-         its net-op folding and amortised sweeps) must leave both cache
-         modes audit-clean against the live edge set. *)
-      let live = Edge.Tbl.create 64 in
-      let audit_clean t =
-        let edges = Edge.Tbl.fold (fun e () acc -> e :: acc) live [] in
-        Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges t)
-      in
-      List.for_all
-        (fun w ->
-          List.iter (fun u -> ignore (Tric_core.Tric.handle_update seq u)) w;
-          let r1 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_batch tric w) in
-          let r2 = Tric_engine.Report.of_pair (Tric_core.Tric.handle_batch tricp w) in
-          ignore (oracle.Tric_engine.Matcher.handle_batch w);
-          List.iter
-            (fun u ->
-              match u.Update.op with
-              | Update.Add e -> Edge.Tbl.replace live e ()
-              | Update.Remove e -> Edge.Tbl.remove live e)
-            w;
-          Tric_engine.Report.equal r1 r2
-          && audit_clean tric && audit_clean tricp
-          && List.for_all (fun q -> matches_agree (Pattern.id q)) queries)
-        (windows updates))
-
-(* Targeted dispatch must be invisible: for any shard count, the
-   domain-parallel engine — which routes each op only to the shards named
-   by the per-key dispatch bitmaps, not to all of them — must produce
-   exactly the sequential engine's report after every update of a random
-   mixed add/remove stream, keep identical current matches, and stay
-   audit-clean (which includes the routing-coherence class: trie
-   placement AND the bitmaps equalling the forests' per-key shard sets in
-   both directions, so a routing bug that skips an affected shard cannot
-   hide).  Both cache modes run sharded: TRIC at 1/2/4 domains, TRIC+ at
-   2 and 4.  Engines are shut down per iteration — OCaml caps live
-   domains, and shrinking replays the property many times. *)
-let prop_sharded_equals_sequential =
-  QCheck2.Test.make ~count:25 ~print:print_mixed_case
-    ~name:"sharded (1/2/4 domains) = sequential TRIC/TRIC+ per update"
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 3) gen_pattern_spec)
-        (list_size (int_range 1 60)
-           (quad bool (int_bound (List.length elabels - 1))
-              (int_bound (List.length vconsts - 1))
-              (int_bound (List.length vconsts - 1)))))
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let seq = Tric_core.Tric.create () in
-      let seqp = Tric_core.Tric.create ~cache:true () in
-      let sharded =
-        [
-          (Tric_core.Tric.create ~shards:1 (), seq);
-          (Tric_core.Tric.create ~shards:2 (), seq);
-          (Tric_core.Tric.create ~shards:4 (), seq);
-          (Tric_core.Tric.create ~cache:true ~shards:2 (), seqp);
-          (Tric_core.Tric.create ~cache:true ~shards:4 (), seqp);
-        ]
-      in
-      Fun.protect
-        ~finally:(fun () -> List.iter (fun (t, _) -> Tric_core.Tric.shutdown t) sharded)
-        (fun () ->
-          List.iter
-            (fun q ->
-              Tric_core.Tric.add_query seq q;
-              Tric_core.Tric.add_query seqp q;
-              List.iter (fun (t, _) -> Tric_core.Tric.add_query t q) sharded)
-            queries;
-          let live = Edge.Tbl.create 64 in
-          let audit_clean t =
-            let edges = Edge.Tbl.fold (fun e () acc -> e :: acc) live [] in
-            Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges t)
-          in
-          let matches_agree qid =
-            let sorted m = List.sort_uniq Embedding.compare m in
-            List.for_all
-              (fun (t, reference) ->
-                let exp = sorted (Tric_core.Tric.current_matches reference qid) in
-                let got = sorted (Tric_core.Tric.current_matches t qid) in
-                List.length exp = List.length got && List.for_all2 Embedding.equal exp got)
-              sharded
-          in
-          List.for_all
-            (fun u ->
-              let expected = Tric_engine.Report.of_pair (Tric_core.Tric.handle_update seq u) in
-              let expected_p =
-                Tric_engine.Report.of_pair (Tric_core.Tric.handle_update seqp u)
-              in
-              let reports =
-                List.map
-                  (fun (t, _) ->
-                    Tric_engine.Report.of_pair (Tric_core.Tric.handle_update t u))
-                  sharded
-              in
-              (match u.Update.op with
-              | Update.Add e -> Edge.Tbl.replace live e ()
-              | Update.Remove e -> Edge.Tbl.remove live e);
-              List.for_all2
-                (fun (t, reference) r ->
-                  let exp = if reference == seq then expected else expected_p in
-                  Tric_engine.Report.equal exp r && audit_clean t)
-                sharded reports
-              && List.for_all (fun q -> matches_agree (Pattern.id q)) queries)
-            (List.map
-               (fun (add, li, si, di) ->
-                 let e =
-                   Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                     (List.nth vconsts di)
-                 in
-                 if add then Update.add e else Update.remove e)
-               sspec)))
-
-(* The batched entry point, sharded: windows of a random mixed stream
-   through [handle_batch] — which folds the window to net ops, routes
-   each through the dispatch bitmaps into per-shard op queues, and runs
-   one combined removals+additions task per affected shard — must equal
-   the sequential engine's batched replay report-for-report at 1, 2, 4
-   and 8 shards (and on a cached 4-shard engine), stay audit-clean after
-   every window, and agree on final matches.  The 8-shard row exceeds the
-   label alphabet of the generated streams, so some shards stay empty —
-   exactly the skewed-ownership regime targeted routing must survive. *)
-let prop_sharded_batch_equals_sequential =
-  QCheck2.Test.make ~count:25 ~print:print_batch_case
-    ~name:"sharded handle_batch = sequential handle_batch (1/2/4/8 domains)"
-    QCheck2.Gen.(
-      pair
-        (pair
-           (list_size (int_range 1 3) gen_pattern_spec)
-           (list_size (int_range 1 60)
-              (quad bool (int_bound (List.length elabels - 1))
-                 (int_bound (List.length vconsts - 1))
-                 (int_bound (List.length vconsts - 1)))))
-        (int_range 1 10))
-    (fun ((qspecs, sspec), window) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let seq = Tric_core.Tric.create () in
-      let sharded =
-        [
-          Tric_core.Tric.create ~shards:1 ();
-          Tric_core.Tric.create ~shards:2 ();
-          Tric_core.Tric.create ~shards:4 ();
-          Tric_core.Tric.create ~shards:8 ();
-          Tric_core.Tric.create ~cache:true ~shards:4 ();
-        ]
-      in
-      Fun.protect
-        ~finally:(fun () -> List.iter Tric_core.Tric.shutdown sharded)
-        (fun () ->
-          List.iter
-            (fun q ->
-              Tric_core.Tric.add_query seq q;
-              List.iter (fun t -> Tric_core.Tric.add_query t q) sharded)
-            queries;
-          let updates =
-            List.map
-              (fun (add, li, si, di) ->
-                let e =
-                  Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                    (List.nth vconsts di)
-                in
-                if add then Update.add e else Update.remove e)
-              sspec
-          in
-          let rec windows = function
-            | [] -> []
-            | us ->
-              let n = min window (List.length us) in
-              List.filteri (fun i _ -> i < n) us
-              :: windows (List.filteri (fun i _ -> i >= n) us)
-          in
-          let live = Edge.Tbl.create 64 in
-          let audit_clean t =
-            let edges = Edge.Tbl.fold (fun e () acc -> e :: acc) live [] in
-            Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges t)
-          in
-          let matches_agree qid =
-            let sorted m = List.sort_uniq Embedding.compare m in
-            let exp = sorted (Tric_core.Tric.current_matches seq qid) in
-            List.for_all
-              (fun t ->
-                let got = sorted (Tric_core.Tric.current_matches t qid) in
-                List.length exp = List.length got && List.for_all2 Embedding.equal exp got)
-              sharded
-          in
-          List.for_all
-            (fun w ->
-              let expected = Tric_engine.Report.of_pair (Tric_core.Tric.handle_batch seq w) in
-              let reports =
-                List.map
-                  (fun t -> Tric_engine.Report.of_pair (Tric_core.Tric.handle_batch t w))
-                  sharded
-              in
-              List.iter
-                (fun u ->
-                  match u.Update.op with
-                  | Update.Add e -> Edge.Tbl.replace live e ()
-                  | Update.Remove e -> Edge.Tbl.remove live e)
-                w;
-              List.for_all2
-                (fun t r -> Tric_engine.Report.equal expected r && audit_clean t)
-                sharded reports
-              && List.for_all (fun q -> matches_agree (Pattern.id q)) queries)
-            (windows updates)))
-
-(* Packed row-store differential: the arena-backed engines against the
-   boxed naive oracle, with the arena accounting checked at every step.
-   Every view tuple lives as a width-stride slice of a flat int array
-   owned by its shard, deduplicated by an open-addressing row-id table —
-   so this property drives the layout through exactly the regimes that
-   stress the freelist and the tombstone chains: interleaved
-   add/remove/re-add per update, then net-op-folded batches, at 1 and 4
-   shards and in both cache modes.  After every step three things must
-   hold: reports and full current matches equal the oracle's, the audit
-   (including the arena-integrity class — freelist/live-map coherence, no
-   dangling row ids reachable from dedup slots or index buckets) stays
-   clean against the ground-truth edge set, and [mem_stats] stays
-   arithmetically sane (per shard, live + free slots never exceed arena
-   capacity).  A final drain removes every live edge and requires all
-   arenas to account zero live rows — leaks of freed slots survive report
-   comparison, they cannot survive this.  The windowed regime rides the
-   windowed-oracle properties below at the same shard counts, which run
-   on the same packed layout. *)
-let prop_packed_layout_equals_oracle =
-  QCheck2.Test.make ~count:20 ~print:print_batch_case
-    ~name:"packed row-store = boxed oracle (1/4 shards, add/remove + batch + drain)"
-    QCheck2.Gen.(
-      pair
-        (pair
-           (list_size (int_range 1 3) gen_pattern_spec)
-           (list_size (int_range 1 60)
-              (quad bool (int_bound (List.length elabels - 1))
-                 (int_bound (List.length vconsts - 1))
-                 (int_bound (List.length vconsts - 1)))))
-        (int_range 1 8))
-    (fun ((qspecs, sspec), window) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let oracle = Tric_engine.Naive.create () in
-      let perupd =
-        [
-          Tric_core.Tric.create ~shards:1 ();
-          Tric_core.Tric.create ~cache:true ~shards:4 ();
-        ]
-      in
-      let batched =
-        [
-          Tric_core.Tric.create ~cache:true ~shards:1 ();
-          Tric_core.Tric.create ~shards:4 ();
-        ]
-      in
-      Fun.protect
-        ~finally:(fun () -> List.iter Tric_core.Tric.shutdown (perupd @ batched))
-        (fun () ->
-          List.iter
-            (fun q ->
-              Tric_engine.Naive.add_query oracle q;
-              List.iter (fun t -> Tric_core.Tric.add_query t q) (perupd @ batched))
-            queries;
-          let updates =
-            List.map
-              (fun (add, li, si, di) ->
-                let e =
-                  Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                    (List.nth vconsts di)
-                in
-                if add then Update.add e else Update.remove e)
-              sspec
-          in
-          let mem_sane t =
-            Array.for_all
-              (fun (cap, live, free) ->
-                live >= 0 && free >= 0 && live + free <= cap)
-              (Tric_core.Tric.mem_stats t)
-          in
-          let matches_oracle t =
-            List.for_all
-              (fun q ->
-                let qid = Pattern.id q in
-                let sorted m = List.sort_uniq Embedding.compare m in
-                let exp = sorted (Tric_engine.Naive.current_matches oracle qid) in
-                let got = sorted (Tric_core.Tric.current_matches t qid) in
-                List.length exp = List.length got
-                && List.for_all2 Embedding.equal exp got)
-              queries
-          in
-          let live = Edge.Tbl.create 64 in
-          let track u =
-            match u.Update.op with
-            | Update.Add e -> Edge.Tbl.replace live e ()
-            | Update.Remove e -> Edge.Tbl.remove live e
-          in
-          let audit_clean t =
-            let edges = Edge.Tbl.fold (fun e () acc -> e :: acc) live [] in
-            Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges t)
-          in
-          (* Per-update phase: report-for-report against the oracle. *)
-          let stream_ok =
-            List.for_all
-              (fun u ->
-                let expected = Tric_engine.Naive.handle_update oracle u in
-                let reports =
-                  List.map
-                    (fun t ->
-                      Tric_engine.Report.of_pair (Tric_core.Tric.handle_update t u))
-                    perupd
-                in
-                track u;
-                List.for_all2
-                  (fun t r ->
-                    Tric_engine.Report.equal expected r
-                    && audit_clean t && mem_sane t && matches_oracle t)
-                  perupd reports)
-              updates
-          in
-          (* Batch phase: the same stream through [handle_batch] windows.
-             Net-op folding makes per-window reports legitimately differ
-             from the oracle's per-update reports, but both batched
-             engines must emit identical reports to each other, stay
-             audit-clean at every barrier, and land on the oracle's final
-             matches. *)
-          let rec windows = function
-            | [] -> []
-            | us ->
-              let n = min window (List.length us) in
-              List.filteri (fun i _ -> i < n) us
-              :: windows (List.filteri (fun i _ -> i >= n) us)
-          in
-          Edge.Tbl.reset live;
-          let batch_ok =
-            List.for_all
-              (fun w ->
-                let reports =
-                  List.map
-                    (fun t ->
-                      Tric_engine.Report.of_pair (Tric_core.Tric.handle_batch t w))
-                    batched
-                in
-                List.iter track w;
-                (match reports with
-                | r0 :: rest -> List.for_all (Tric_engine.Report.equal r0) rest
-                | [] -> true)
-                && List.for_all (fun t -> audit_clean t && mem_sane t) batched)
-              (windows updates)
-            && List.for_all matches_oracle batched
-          in
-          (* Drain phase: remove every surviving edge and require the
-             arenas to account zero live rows — every allocated slot must
-             have come back through the freelist. *)
-          let drain =
-            Edge.Tbl.fold (fun e () acc -> Update.remove e :: acc) live []
-          in
-          List.iter (fun u -> ignore (Tric_engine.Naive.handle_update oracle u)) drain;
-          let drain_ok =
-            List.for_all
-              (fun t ->
-                List.iter
-                  (fun u -> ignore (Tric_core.Tric.handle_update t u))
-                  drain;
-                Tric_audit.Audit.is_clean (Tric_audit.Audit.check ~edges:[] t)
-                && mem_sane t
-                && Array.for_all
-                     (fun (_, rows, _) -> rows = 0)
-                     (Tric_core.Tric.mem_stats t))
-              (perupd @ batched)
-          in
-          stream_ok && batch_ok && drain_ok))
 
 let prop_relation_set_semantics =
   QCheck2.Test.make ~count:200 ~name:"relation = deduplicated set under insert/remove"
@@ -785,215 +592,6 @@ let prop_trie_sharing =
         words;
       Tric_core.Trie.num_nodes forest = Hashtbl.length prefixes)
 
-let gen_mixed_stream =
-  (* Additions and removals over a small vocabulary; removals may target
-     absent edges (must be no-ops). *)
-  QCheck2.Gen.(
-    list_size (int_range 1 80)
-      (quad bool (int_bound (List.length elabels - 1))
-         (int_bound (List.length vconsts - 1))
-         (int_bound (List.length vconsts - 1))))
-
-let updates_of_mixed spec =
-  List.map
-    (fun (add, li, si, di) ->
-      let e =
-        Edge.of_strings (List.nth elabels li) (List.nth vconsts si) (List.nth vconsts di)
-      in
-      if add then Update.add e else Update.remove e)
-    spec
-
-let prop_window_equals_suffix =
-  (* A count-window engine over a duplicate-free addition stream must
-     report, at the end, exactly the matches of the last W updates. *)
-  QCheck2.Test.make ~count:60 ~name:"window engine = evaluation over suffix"
-    QCheck2.Gen.(pair gen_pattern_spec gen_stream_spec)
-    (fun (qspec, sspec) ->
-      QCheck2.assume (valid_spec qspec);
-      match build_pattern ~id:1 qspec with
-      | exception Invalid_argument _ -> QCheck2.assume_fail ()
-      | q ->
-        if not (Pattern.is_connected q) then QCheck2.assume_fail ()
-        else begin
-          let edges =
-            List.sort_uniq Edge.compare (edges_of_spec sspec)
-          in
-          QCheck2.assume (edges <> []);
-          let window = 1 + (List.length edges / 2) in
-          let w = Helpers.count_window window (fun () -> Tric_engine.Engines.tric ()) in
-          Tric_engine.Window.add_query w q;
-          List.iter (fun e -> ignore (Tric_engine.Window.handle_update w (Update.add e))) edges;
-          let windowed =
-            (Tric_engine.Window.engine w).Tric_engine.Matcher.current_matches 1
-            |> List.sort_uniq Embedding.compare
-          in
-          (* Oracle: evaluate the pattern on the graph of the last W
-             edges. *)
-          let suffix =
-            let n = List.length edges in
-            List.filteri (fun i _ -> i >= n - window) edges
-          in
-          let g = Graph.create () in
-          List.iter (fun e -> ignore (Graph.add_edge g e)) suffix;
-          let expected =
-            Tric_engine.Naive.embeddings_in g q |> List.sort_uniq Embedding.compare
-          in
-          List.length windowed = List.length expected
-          && List.for_all2 Embedding.equal windowed expected
-        end)
-
-(* Timed mixed stream: add/remove ops with monotone event timestamps
-   advancing by a random gap per update.  Gaps up to 5 against a span of 8
-   mean most windows see a mix of refreshes, survivals and expiries. *)
-let gen_timed_stream =
-  QCheck2.Gen.(
-    list_size (int_range 1 60)
-      (pair
-         (quad bool (int_bound (List.length elabels - 1))
-            (int_bound (List.length vconsts - 1))
-            (int_bound (List.length vconsts - 1)))
-         (int_range 0 5)))
-
-let print_timed_case (qspecs, sspec) =
-  let mixed = List.map fst sspec in
-  Printf.sprintf "%s gaps=[%s]"
-    (print_mixed_case (qspecs, mixed))
-    (String.concat ";" (List.map (fun (_, g) -> string_of_int g) sspec))
-
-(* The tentpole end-to-end property: a time-sliding windowed engine over a
-   timestamped stream is equivalent to a naive oracle replaying the same
-   stream with an explicit [Remove] injected for every edge the moment the
-   watermark passes its deadline.  Checked per update: the merged report
-   (expiry retractions folded into the trigger), every query's current
-   matches, and the window-coherence audit against the ground-truth
-   unexpired edge set.  [batched] chops the stream into handle_batch
-   windows (report comparison is skipped there — net-op folding
-   legitimately cancels transient matches the sequential oracle sees). *)
-let prop_windowed_equals_oracle ~count ~cache ~shards ~batched =
-  let span = 8 in
-  let spec = Wspec.Time { shape = Wspec.Sliding; span } in
-  QCheck2.Test.make ~count ~print:print_timed_case
-    ~name:
-      (Printf.sprintf "windowed %s (%d shard%s%s) = expiry-replaying oracle"
-         (if cache then "TRIC+" else "TRIC")
-         shards
-         (if shards = 1 then "" else "s")
-         (if batched then ", batched" else ""))
-    QCheck2.Gen.(pair (list_size (int_range 1 3) gen_pattern_spec) gen_timed_stream)
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
-      QCheck2.assume (queries <> []);
-      let updates =
-        let ts = ref 0 in
-        List.map
-          (fun ((add, li, si, di), gap) ->
-            ts := !ts + gap;
-            let e =
-              Edge.of_strings (List.nth elabels li) (List.nth vconsts si)
-                (List.nth vconsts di)
-            in
-            if add then Update.add ~ts:!ts e else Update.remove ~ts:!ts e)
-          sspec
-      in
-      let w =
-        Tric_engine.Engines.windowed_spec ~default:spec (fun () ->
-            Tric_engine.Engines.tric ~cache ~shards ())
-      in
-      let oracle = Tric_engine.Engines.naive () in
-      Fun.protect
-        ~finally:(fun () -> w.Tric_engine.Matcher.shutdown ())
-        (fun () ->
-          List.iter
-            (fun q ->
-              w.Tric_engine.Matcher.add_query q;
-              oracle.Tric_engine.Matcher.add_query q)
-            queries;
-          (* Oracle-side window model: edge -> deadline, advanced in lock
-             step with the stream's watermark. *)
-          let model = Edge.Tbl.create 64 in
-          let wm = ref min_int in
-          (* Replay one update through the oracle, injecting expiry
-             removals first; returns (expired, merged oracle report). *)
-          let oracle_step (u : Update.t) =
-            if u.Update.ts > !wm then wm := u.Update.ts;
-            let expired =
-              Edge.Tbl.fold (fun e d acc -> if d <= !wm then e :: acc else acc) model []
-            in
-            let expiry_reports =
-              List.map
-                (fun e ->
-                  Edge.Tbl.remove model e;
-                  oracle.Tric_engine.Matcher.handle_update (Update.remove e))
-                expired
-            in
-            (match u.Update.op with
-            | Update.Add e -> Edge.Tbl.replace model e (Wspec.deadline spec ~ts:u.Update.ts)
-            | Update.Remove e -> Edge.Tbl.remove model e);
-            let trigger = oracle.Tric_engine.Matcher.handle_update u in
-            (expired, Tric_engine.Report.merge (expiry_reports @ [ trigger ]))
-          in
-          let state_agrees () =
-            List.for_all
-              (fun q ->
-                let qid = Pattern.id q in
-                let sorted m = List.sort_uniq Embedding.compare m in
-                let exp = sorted (oracle.Tric_engine.Matcher.current_matches qid) in
-                let got = sorted (w.Tric_engine.Matcher.current_matches qid) in
-                List.length exp = List.length got && List.for_all2 Embedding.equal exp got)
-              queries
-          in
-          let audit_clean () =
-            let live = Edge.Tbl.fold (fun e _ acc -> e :: acc) model [] in
-            Tric_audit.Audit.is_clean (w.Tric_engine.Matcher.audit (Some live))
-          in
-          if batched then begin
-            (* Chop into fixed micro-batches; the oracle still steps
-               sequentially.  State + audit must agree at every barrier. *)
-            let rec chunks n = function
-              | [] -> []
-              | us ->
-                let rec take k = function
-                  | x :: rest when k > 0 ->
-                    let h, t = take (k - 1) rest in
-                    (x :: h, t)
-                  | rest -> ([], rest)
-                in
-                let h, t = take n us in
-                h :: chunks n t
-            in
-            List.for_all
-              (fun batch ->
-                ignore (w.Tric_engine.Matcher.handle_batch batch);
-                List.iter (fun u -> ignore (oracle_step u)) batch;
-                state_agrees () && audit_clean ())
-              (chunks 5 updates)
-          end
-          else
-            List.for_all
-              (fun u ->
-                let got = w.Tric_engine.Matcher.handle_update u in
-                let expired, expected = oracle_step u in
-                let edge = Update.edge u in
-                (* When the trigger's own edge expires in the same wave the
-                   fold cancels remove+re-add the oracle reports verbatim —
-                   states must still agree, reports legitimately differ. *)
-                let collision =
-                  List.exists (fun e -> Edge.compare e edge = 0) expired
-                in
-                (collision || Tric_engine.Report.equal expected got)
-                && state_agrees () && audit_clean ())
-              updates))
-
 let gen_edge =
   QCheck2.Gen.(
     map
@@ -1037,7 +635,6 @@ let prop_cover_path_count_bounded =
   QCheck2.Test.make ~count:200 ~name:"cover: at most one path per edge"
     gen_pattern_spec
     (fun spec ->
-      QCheck2.assume (valid_spec spec);
       match build_pattern ~id:1 spec with
       | exception Invalid_argument _ -> QCheck2.assume_fail ()
       | q ->
@@ -1048,79 +645,43 @@ let prop_cover_path_count_bounded =
 let prop_journal_recovery =
   (* Whatever ran through a journal is fully reconstructable: the
      recovered engine has identical current matches for every query. *)
-  QCheck2.Test.make ~count:25 ~name:"journal recovery preserves engine state"
-    QCheck2.Gen.(pair (list_size (int_range 1 3) gen_pattern_spec) gen_stream_spec)
-    (fun (qspecs, sspec) ->
-      QCheck2.assume (List.for_all valid_spec qspecs);
-      let queries =
-        List.mapi
-          (fun i spec ->
-            match build_pattern ~id:(i + 1) spec with
-            | q when Pattern.is_connected q -> Some q
-            | _ -> None
-            | exception Invalid_argument _ -> None)
-          qspecs
-        |> List.filter_map Fun.id
-      in
+  QCheck2.Test.make ~count:25 ~print:print_case ~name:"journal recovery preserves engine state"
+    (gen_case ~churn:false ~timed:false ())
+    (fun (qspecs, ops, _) ->
+      let queries = queries_of qspecs in
       QCheck2.assume (queries <> []);
       let path = Filename.temp_file "tric_prop_journal" ".log" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          let j = Tric_engine.Journal.open_ ~path (fun () -> Tric_engine.Engines.tric ()) in
-          List.iter (Tric_engine.Journal.add_query j) queries;
-          List.iter
-            (fun e -> ignore (Tric_engine.Journal.handle_update j (Update.add e)))
-            (edges_of_spec sspec);
-          let live = Tric_engine.Journal.engine j in
-          Tric_engine.Journal.close j;
-          let j2 = Tric_engine.Journal.open_ ~path (fun () -> Tric_engine.Engines.tric ()) in
-          let recovered = Tric_engine.Journal.engine j2 in
+          let j = E.Journal.open_ ~path (fun () -> E.Engines.tric ()) in
+          List.iter (E.Journal.add_query j) queries;
+          List.iter (fun u -> ignore (E.Journal.handle_update j u)) (updates_of ops);
+          let live = E.Journal.engine j in
+          E.Journal.close j;
+          let j2 = E.Journal.open_ ~path (fun () -> E.Engines.tric ()) in
+          let recovered = E.Journal.engine j2 in
           let ok =
             List.for_all
               (fun q ->
                 let qid = Pattern.id q in
-                let a =
-                  List.sort Embedding.compare (live.Tric_engine.Matcher.current_matches qid)
-                in
-                let b =
-                  List.sort Embedding.compare
-                    (recovered.Tric_engine.Matcher.current_matches qid)
-                in
-                List.length a = List.length b && List.for_all2 Embedding.equal a b)
+                List.equal Embedding.equal
+                  (List.sort Embedding.compare (live.E.Matcher.current_matches qid))
+                  (List.sort Embedding.compare (recovered.E.Matcher.current_matches qid)))
               queries
           in
-          Tric_engine.Journal.close j2;
+          E.Journal.close j2;
           ok))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [
-      prop_cover_covers Cover.Upstream;
-      prop_cover_covers Cover.Naive;
-      prop_engine_agrees "TRIC" (fun () -> Tric_engine.Engines.tric ());
-      prop_engine_agrees "TRIC+" (fun () -> Tric_engine.Engines.tric ~cache:true ());
-      prop_engine_agrees "INV" (fun () -> Tric_engine.Engines.inv ());
-      prop_engine_agrees "INV+" (fun () -> Tric_engine.Engines.inv ~cache:true ());
-      prop_engine_agrees "INC" (fun () -> Tric_engine.Engines.inc ());
-      prop_engine_agrees "INC+" (fun () -> Tric_engine.Engines.inc ~cache:true ());
-      prop_engine_agrees "GraphDB" (fun () -> Tric_engine.Engines.graphdb ());
-      prop_engines_agree_under_deletions;
-      prop_batch_equals_sequential;
-      prop_sharded_equals_sequential;
-      prop_sharded_batch_equals_sequential;
-      prop_packed_layout_equals_oracle;
-      prop_relation_set_semantics;
-      prop_merge_commutative;
-      prop_trie_sharing;
-      prop_window_equals_suffix;
-      prop_windowed_equals_oracle ~count:20 ~cache:false ~shards:1 ~batched:false;
-      prop_windowed_equals_oracle ~count:20 ~cache:false ~shards:1 ~batched:true;
-      prop_windowed_equals_oracle ~count:20 ~cache:true ~shards:1 ~batched:false;
-      prop_windowed_equals_oracle ~count:10 ~cache:true ~shards:4 ~batched:false;
-      prop_windowed_equals_oracle ~count:20 ~cache:true ~shards:1 ~batched:true;
-      prop_windowed_equals_oracle ~count:10 ~cache:true ~shards:4 ~batched:true;
-      prop_ekey_generalisation_sound_complete;
-      prop_cover_path_count_bounded;
-      prop_journal_recovery;
-    ]
+    ([ prop_cover_covers Cover.Upstream; prop_cover_covers Cover.Naive ]
+    @ List.map prop_of_row matrix
+    @ [
+        prop_relation_set_semantics;
+        prop_merge_commutative;
+        prop_trie_sharing;
+        prop_ekey_generalisation_sound_complete;
+        prop_cover_path_count_bounded;
+        prop_journal_recovery;
+      ])

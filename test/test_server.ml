@@ -5,11 +5,6 @@
 open Tric_server
 module E = Tric_engine
 
-let contains hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.equal (String.sub hay i m) needle || go (i + 1)) in
-  go 0
-
 (* -- frame codec ------------------------------------------------------------- *)
 
 (* Drain every complete frame the decoder currently holds. *)
@@ -330,14 +325,32 @@ let test_server_basic_session () =
       (match Client.recv_exn ~timeout_s:10.0 cl with
       | Wire.Stats_reply { body } ->
         Alcotest.(check bool) "prometheus text" true
-          (contains body "srv_useq")
+          (Helpers.contains body "srv_useq")
       | _ -> Alcotest.fail "expected Stats_reply");
       Client.send cl (Wire.Stats { format = "json" });
       (match Client.recv_exn ~timeout_s:10.0 cl with
       | Wire.Stats_reply { body } ->
         Alcotest.(check bool) "envelope json" true
-          (contains body "tric-metrics-v1")
+          (Helpers.contains body "tric-metrics-v1")
       | _ -> Alcotest.fail "expected Stats_reply");
+      Client.send cl Wire.Quit;
+      (match Client.recv_exn ~timeout_s:10.0 cl with
+      | Wire.Bye _ -> ()
+      | _ -> Alcotest.fail "expected Bye");
+      Client.close cl)
+
+(* The server's engine is unwindowed, so a WITHIN registration is refused
+   rather than run with its clause dropped; the session stays usable. *)
+let test_server_refuses_within () =
+  with_server "within" (fun sock _journal ->
+      let cl = Client.connect sock in
+      ignore (Client.hello cl "wendy");
+      Client.send cl (Wire.Register { name = "w"; pattern = "?x -a-> ?y WITHIN 2 EVENTS" });
+      (match Client.recv_exn ~timeout_s:10.0 cl with
+      | Wire.Err { reason } ->
+        Alcotest.(check bool) "reason names WITHIN" true (Helpers.contains reason "WITHIN")
+      | _ -> Alcotest.fail "expected Err for a WITHIN registration");
+      ignore (register_wait cl "plain" "?x -a-> ?y");
       Client.send cl Wire.Quit;
       (match Client.recv_exn ~timeout_s:10.0 cl with
       | Wire.Bye _ -> ()
@@ -694,7 +707,7 @@ let test_server_torture () =
       in
       let snapshot_lines =
         List.length
-          (List.filter (fun l -> contains l "written to") (String.split_on_char '\n' log_text))
+          (List.filter (fun l -> Helpers.contains l "written to") (String.split_on_char '\n' log_text))
       in
       Alcotest.(check bool)
         (Printf.sprintf "compacted repeatedly (%d snapshots logged)" snapshot_lines)
@@ -729,4 +742,5 @@ let suite =
     Alcotest.test_case "server kill -9 torture" `Slow test_server_torture;
     Alcotest.test_case "client recv polls at a zero timeout" `Quick
       test_client_recv_zero_timeout;
+    Alcotest.test_case "server refuses WITHIN registrations" `Quick test_server_refuses_within;
   ]

@@ -209,71 +209,6 @@ let test_reregistration_idempotent () =
   let r = e.Engine.Matcher.handle_update (Helpers.update "v1 -a-> v2") in
   Alcotest.(check int) "old pattern's edges report nothing" 0 (Engine.Report.total_matches r)
 
-let test_mixed_stream_differential ~cache seed () =
-  (* Interleaved add/remove/re-add stream vs the oracle, checking both the
-     per-update reports and the full current result after every update. *)
-  let st = Helpers.rng seed in
-  let queries =
-    List.init 6 (fun i ->
-        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
-          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 3))
-  in
-  let live = ref [] in
-  let stream =
-    List.init 160 (fun _ ->
-        match !live with
-        | e :: rest when Random.State.int st 100 < 40 ->
-          live := rest;
-          Tric_graph.Update.remove e
-        | _ ->
-          let e = Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts in
-          live := e :: !live;
-          Tric_graph.Update.add e)
-  in
-  let oracle = Engine.Matcher.of_naive (Engine.Naive.create ()) in
-  let engine = Engine.Matcher.of_tric (Tric.create ~cache ()) in
-  List.iter
-    (fun q ->
-      oracle.Engine.Matcher.add_query q;
-      engine.Engine.Matcher.add_query q)
-    queries;
-  List.iteri
-    (fun i u ->
-      let expected = oracle.Engine.Matcher.handle_update u in
-      let actual = engine.Engine.Matcher.handle_update u in
-      Helpers.check_reports_agree
-        ~msg:(Format.asprintf "mixed update #%d %a" i Tric_graph.Update.pp u)
-        expected actual;
-      List.iter
-        (fun q ->
-          let qid = Pattern.id q in
-          let sorted m = List.sort_uniq Tric_rel.Embedding.compare m in
-          let exp = sorted (oracle.Engine.Matcher.current_matches qid) in
-          let act = sorted (engine.Engine.Matcher.current_matches qid) in
-          if
-            List.length exp <> List.length act
-            || not (List.for_all2 Tric_rel.Embedding.equal exp act)
-          then
-            Alcotest.failf "current_matches diverged at update #%d %a for Q%d" i
-              Tric_graph.Update.pp u qid)
-        queries)
-    stream
-
-let differential_case ~cache seed () =
-  let st = Helpers.rng seed in
-  let queries =
-    List.init 8 (fun i ->
-        Helpers.random_pattern st ~id:(i + 1) ~elabels:Helpers.elabels
-          ~vconsts:Helpers.vconsts ~size:(1 + Random.State.int st 3))
-  in
-  let stream =
-    List.init 120 (fun _ ->
-        Tric_graph.Update.add
-          (Helpers.random_edge st ~elabels:Helpers.elabels ~vconsts:Helpers.vconsts))
-  in
-  let engine = Engine.Matcher.of_tric (Tric.create ~cache ()) in
-  Helpers.differential ~engine ~queries ~stream
-
 let test_batch_cancellation () =
   (* An add/remove pair of the same edge inside one window folds to
      nothing: no state, no report, no base-view residue. *)
@@ -546,8 +481,9 @@ let test_allocation_budget () =
     Fun.protect
       ~finally:(fun () -> Sys.remove file)
       (fun () ->
-        Helpers.run_cli
-          [ "generate"; "snb"; "-o"; file; "--edges"; "1000"; "--qdb"; "50"; "--seed"; "7" ];
+        ignore
+          (Helpers.run_cli
+             [ "generate"; "snb"; "-o"; file; "--edges"; "1000"; "--qdb"; "50"; "--seed"; "7" ]);
         W.Dataset.load file)
   in
   let engine = Engine.Engines.tric ~cache:true ~shards:1 () in
@@ -589,12 +525,16 @@ let suite =
     Alcotest.test_case "batch dedup and re-add" `Quick test_batch_dedup_and_readd;
     Alcotest.test_case "batch net removal" `Quick test_batch_net_removal;
     Alcotest.test_case "mixed stream differential (TRIC)" `Quick
-      (test_mixed_stream_differential ~cache:false 77);
+      (Test_properties.check_seeded ~churn:40 ~seed:77 ~queries:6 ~updates:160 [ "TRIC" ]);
     Alcotest.test_case "mixed stream differential (TRIC+)" `Quick
-      (test_mixed_stream_differential ~cache:true 78);
-    Alcotest.test_case "differential vs oracle (TRIC)" `Quick (differential_case ~cache:false 42);
-    Alcotest.test_case "differential vs oracle (TRIC) II" `Quick (differential_case ~cache:false 1337);
-    Alcotest.test_case "differential vs oracle (TRIC+)" `Quick (differential_case ~cache:true 42);
-    Alcotest.test_case "differential vs oracle (TRIC+) II" `Quick (differential_case ~cache:true 2024);
+      (Test_properties.check_seeded ~churn:40 ~seed:78 ~queries:6 ~updates:160 [ "TRIC+" ]);
+    Alcotest.test_case "differential vs oracle (TRIC)" `Quick
+      (Test_properties.check_seeded ~seed:42 ~queries:8 ~updates:120 [ "TRIC" ]);
+    Alcotest.test_case "differential vs oracle (TRIC) II" `Quick
+      (Test_properties.check_seeded ~seed:1337 ~queries:8 ~updates:120 [ "TRIC" ]);
+    Alcotest.test_case "differential vs oracle (TRIC+)" `Quick
+      (Test_properties.check_seeded ~seed:42 ~queries:8 ~updates:120 [ "TRIC+" ]);
+    Alcotest.test_case "differential vs oracle (TRIC+) II" `Quick
+      (Test_properties.check_seeded ~seed:2024 ~queries:8 ~updates:120 [ "TRIC+" ]);
     Alcotest.test_case "allocation budget per update (TRIC+)" `Quick test_allocation_budget;
   ]

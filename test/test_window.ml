@@ -139,12 +139,12 @@ let test_audit_flags_suppressed_expiry () =
     (wpattern ~id:1 "?x -a-> ?y WITHIN 1 EVENTS")
     [ "c1 -a-> d1"; "c2 -a-> d2" ]
 
-(* The registry exposure: by_name ?window wraps the engine in a
-   spec-aware window, presented as a Matcher.t with queries, stats,
-   retractions and the audit all passed through. *)
+(* The registry exposure: [windowed_spec] over a [by_name] factory wraps
+   the engine in a spec-aware window, presented as a Matcher.t with
+   queries, stats, retractions and the audit all passed through. *)
 let test_registry_window () =
   let spec = Wspec.Count { shape = Wspec.Sliding; size = 3 } in
-  let e = E.Engines.by_name ~window:spec "TRIC+" in
+  let e = E.Engines.windowed_spec ~default:spec (fun () -> E.Engines.by_name "TRIC+") in
   Alcotest.(check string) "windowed name" "TRIC+/win[3 EVENTS]" e.E.Matcher.name;
   e.E.Matcher.add_query (Helpers.pattern ~id:1 "?x -a-> ?y");
   Alcotest.(check int) "queries visible" 1 (e.E.Matcher.num_queries ());
@@ -178,6 +178,35 @@ let test_window_batch () =
   Alcotest.(check int) "expired inside the batch" 2 (E.Window.expired_edges w);
   Alcotest.(check int) "current scoped" 1 (List.length (E.Window.current_matches w 1))
 
+(* A query's own WITHIN clause is honoured by replay and audit without
+   --window: four chained edges through a 2-event window report four
+   matches and retract the two that slide out. *)
+let test_cli_honours_within () =
+  let file = Filename.temp_file "tric_within" ".ds" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc "N\twithin\nQ\t1\tq\t?x -a-> ?y WITHIN 2 EVENTS\n";
+          List.iter
+            (fun (s, d) -> Printf.fprintf oc "U\t%s -a-> %s\n" s d)
+            [ ("v1", "v2"); ("v2", "v3"); ("v3", "v4"); ("v4", "v5") ]);
+      List.iter
+        (fun args ->
+          let out = Helpers.run_cli (args @ [ file; "--engine"; "TRIC" ]) in
+          Alcotest.(check bool)
+            (String.concat " " args ^ " retracts the expired matches")
+            true (Helpers.contains out "matches 4 -2"))
+        [ [ "replay" ]; [ "audit"; "--every"; "1" ] ])
+
+(* Without a default no group exists until a query registers; the handle
+   still reports the factory engine's shard count and name. *)
+let test_clause_only_handle () =
+  let e = E.Engines.windowed_spec (fun () -> E.Engines.tric ~shards:2 ()) in
+  Alcotest.(check int) "shards" 2 e.E.Matcher.shards;
+  Alcotest.(check string) "name" "TRIC/win" e.E.Matcher.name;
+  e.E.Matcher.shutdown ()
+
 let suite =
   [
     Alcotest.test_case "eviction retraction reported" `Quick
@@ -192,4 +221,6 @@ let suite =
     Alcotest.test_case "registry --window wiring" `Quick
       test_registry_window;
     Alcotest.test_case "windowed handle_batch" `Quick test_window_batch;
+    Alcotest.test_case "replay and audit honour WITHIN" `Quick test_cli_honours_within;
+    Alcotest.test_case "clause-only handle: shards and name" `Quick test_clause_only_handle;
   ]
