@@ -42,9 +42,10 @@ type outcome = {
    coordinator, [Shard] the slice owner; [Trie]/[Relation] sit below it and
    [Rows] is the arena floor — its row ids index a specific shard's flat
    store, so nothing outside the stack may hold one ([Embedding]/[Embjoin]
-   consume only by-value packed batches, but the reference check cannot
-   split a module, so they are allowed and kept honest by review of their
-   Rows surface).  Anything else must carry a file waiver naming the rule
+   consume by-value packed batches, and [Embjoin] reads the row-id buckets
+   the coordinator lends it for one final join, never keeping one; the
+   reference check cannot split a module, so they are allowed and kept
+   honest by review of their Rows surface).  Anything else must carry a file waiver naming the rule
    (the audit subsystem recomputes state from scratch and legitimately
    reads the stack). *)
 let owned_allow tname =

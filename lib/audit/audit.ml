@@ -35,7 +35,6 @@ let invariant_classes =
     "base-coherence";
     "index-coherence";
     "arena-integrity";
-    "cache-coherence";
     "stats";
     "window-coherence";
   ]
@@ -268,34 +267,7 @@ let check_queries ~report t =
             if qv.Tric.qv_path_shards.(i) <> owner then
               report (Query qid) "routing-coherence"
                 (Printf.sprintf "path %d: indexed on shard %d, router owner is %d" i
-                   qv.Tric.qv_path_shards.(i) owner));
-          (* Cached per-path embeddings = re-derivation from the terminal
-             view, as a multiset (a correct cache holds no duplicates). *)
-          let vids = qv.Tric.qv_path_vids.(i) in
-          let counts = Embedding.Tbl.create 64 in
-          let bump em d =
-            let c =
-              match Embedding.Tbl.find_opt counts em with Some c -> c | None -> 0
-            in
-            Embedding.Tbl.replace counts em (c + d)
-          in
-          Relation.iter
-            (fun tu ->
-              match Embedding.of_tuple ~width ~vids tu with
-              | Some em -> bump em 1
-              | None -> ())
-            (Trie.node_view term);
-          List.iter (fun em -> bump em (-1)) qv.Tric.qv_path_embs.(i);
-          let missing = ref 0 and extra = ref 0 in
-          Embedding.Tbl.iter
-            (fun _ c -> if c > 0 then missing := !missing + c else extra := !extra - c)
-            counts;
-          if !missing > 0 || !extra > 0 then
-            report (Query qid) "cache-coherence"
-              (Printf.sprintf
-                 "path %d: cached embeddings diverge from terminal view (%d missing, %d \
-                  phantom)"
-                 i !missing !extra))
+                   qv.Tric.qv_path_shards.(i) owner)))
         qv.Tric.qv_terminals)
     (Tric.query_views t)
 

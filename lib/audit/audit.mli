@@ -1,11 +1,11 @@
 (** Invariant-audit sanitizer for materialized engine state.
 
     The engines maintain their state aggressively incrementally: lazy
-    prefix/hinge deletion indexes, per-query embedding-cache delta
-    subtraction, net-op folded micro-batches.  That is exactly the regime
+    prefix/hinge deletion indexes, downward eviction, net-op folded
+    micro-batches.  That is exactly the regime
     where silent divergence between maintained state and ground truth
     creeps in.  This module certifies, at any point of a replay, that every
-    materialized view, index, and cache equals what a from-scratch
+    materialized view and index equals what a from-scratch
     recomputation would produce — the sanitizer the shadow-audit harness
     ({!Tric_engine.Runner.run}'s [audit_every]), the
     [tric_cli audit] subcommand, and the QCheck postconditions run.
@@ -44,8 +44,6 @@
       freelist, no freelist entry is out of range or duplicated, no dead
       slot is stranded off the freelist, the live counter matches the
       liveness map, and no index bucket names a dead or out-of-range row.
-    - {b cache-coherence}: each query's cached per-path partial embeddings
-      equal the re-derivation from its terminal views, as a multiset.
     - {b stats}: accounting identities — per relation,
       [inserts - removes = cardinality]; across the engine, evicted-tuple
       sums and batch net-op counts must add up.
@@ -83,22 +81,23 @@ type finding = {
 }
 
 val invariant_classes : string list
-(** The ten class identifiers, lattice order. *)
+(** The nine class identifiers, lattice order. *)
 
 val check : ?edges:Edge.t list -> Tric_core.Tric.t -> finding list
 (** Audit a TRIC/TRIC+ engine, sequential or sharded — every shard's
     forest is walked and certified independently (base views are
     replicated per shard, so ground truth applies to each), then the
-    cross-shard layers (registrations, routing, per-query caches, stats)
+    cross-shard layers (registrations, routing, stats)
     are checked over all forests at once.  [edges] is the ground-truth
     live edge set (the replayed stream's net additions); when supplied,
     base views are also certified against it, closing the chain "edge set
-    → base views → node views → per-query caches". *)
+    → base views → node views" — the node views are the queries'
+    results, which the final join reads in place. *)
 
 val check_invidx : ?edges:Edge.t list -> Tric_baselines.Invidx.t -> finding list
 (** Audit an INV/INV+/INC/INC+ baseline: base-view, index and accounting
     invariants (these engines materialize per-path joins on demand, so
-    there is no node-view or embedding-cache layer to certify). *)
+    there is no node-view layer to certify). *)
 
 val errors : finding list -> finding list
 (** The [Error]-severity subset. *)

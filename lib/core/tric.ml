@@ -10,14 +10,10 @@ type query_info = {
   path_shards : int array; (* per path: shard owning its trie *)
   terminals : Trie.node array;
   width : int; (* pattern vertex count *)
-  (* The per-covering-path result as partial embeddings — the paper's
-     matV[P_i], kept in join-ready form and maintained incrementally in
-     both directions: addition deltas are appended as they are reported,
-     and deletion deltas are subtracted tuple-for-tuple (§4.3).  The lists
-     mirror the terminal views exactly, so no epoch/refresh machinery is
-     needed. *)
-  mutable path_embs : Embedding.t list array;
 }
+(* Path [i]'s result — the paper's matV[P_i] — is the terminal's view,
+   [Trie.node_view terminals.(i)] on shard [path_shards.(i)], read in
+   place by the final join: the coordinator keeps no copy of it. *)
 
 (* Coordinator-side telemetry: event counters and the cross-path join
    instruments (stable — pure functions of the update stream), wall-clock
@@ -55,8 +51,9 @@ let make_obs () =
 (* The coordinator: routing + scatter/gather around shard-owned state.
    Shards are mutated only inside pool tasks (one task per shard, so no
    two tasks share state) or by the coordinator strictly between pool
-   barriers; per-query caches and counters live here and are only ever
-   touched by the coordinator. *)
+   barriers; query metadata and counters live here and are only ever
+   touched by the coordinator, which also reads the terminal views for
+   the final join — after the gather barrier, never inside a task. *)
 type t = {
   cache : bool;
   strategy : Cover.strategy;
@@ -72,7 +69,7 @@ type t = {
   mutable removals : int; (* Remove updates processed *)
   mutable noop_removals : int; (* removals that evicted nothing anywhere *)
   mutable tuples_removed : int; (* view tuples evicted by deletions *)
-  mutable invalidations_avoided : int; (* per removal: query caches untouched *)
+  mutable invalidations_avoided : int; (* per removal: queries whose terminals lost nothing *)
   mutable batches : int; (* handle_batch calls *)
   mutable batched_updates : int; (* updates received through handle_batch *)
   mutable batch_cancelled : int; (* updates collapsed by in-window net-op folding *)
@@ -205,19 +202,7 @@ let add_query t pattern =
   in
   let path_vids = Array.map Path.vids paths in
   let width = Pattern.num_vertices pattern in
-  let path_embs =
-    Array.mapi
-      (fun i terminal ->
-        Relation.fold
-          (fun tu acc ->
-            match Embedding.of_tuple ~width ~vids:path_vids.(i) tu with
-            | Some e -> e :: acc
-            | None -> acc)
-          (Trie.node_view terminal) [])
-      terminals
-  in
-  Hashtbl.add t.queries qid
-    { pattern; paths; path_vids; path_shards; terminals; width; path_embs }
+  Hashtbl.add t.queries qid { pattern; paths; path_vids; path_shards; terminals; width }
 
 let remove_query t qid =
   (* Deregister the id from its terminal nodes so a later re-add of the id
@@ -290,44 +275,87 @@ let merge_deltas t per_shard =
     per_shard;
   per_query
 
-(* Turn a path's packed delta batches into partial embeddings of the
+(* Turn each path's packed delta batches into partial embeddings of the
    query (enforcing repeated-variable equalities within the path) —
    straight from the flat cells, no boxed tuples. *)
-let embeddings_of_packs ~width ~vids packs = Embjoin.of_packed ~width ~vids packs
+let embeddings_of_packs info packs =
+  Array.mapi (fun i p -> Embjoin.of_packed ~width:info.width ~vids:info.path_vids.(i) p) packs
 
-(* Final per-query cross-path join (Fig. 8, lines 8-13): for every
-   covering path that gained tuples, join its delta against the full
-   (cached) results of the other paths, delta first.  This is the
-   coordinator's finalize step — path deltas computed on different shards
-   meet only here. *)
-let query_new_matches info deltas =
-  let k = Array.length info.paths in
-  let delta_embs =
-    Array.mapi
-      (fun i delta -> embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta)
-      deltas
-  in
-  (* Fold the deltas into the cached path results first, so "other path"
-     operands see this round's tuples too. *)
+(* Path [j]'s terminal view as a join operand, read in place: TRIC+
+   lends its maintained column index (built on first probe), plain TRIC
+   only a row scan. *)
+let path_view ?plus ?minus t info j =
+  let rel = Trie.node_view info.terminals.(j) in
+  Embjoin.view ?plus ?minus
+    ?probe:(if t.cache then Some Relation.probe_col_rows else None)
+    ~vids:info.path_vids.(j) ~size:(Relation.cardinality rel) ~cell:Relation.row_col
+    ~iter:Relation.iter_rows rel
+
+(* Join each non-empty path delta against the other paths' views (Fig. 8,
+   lines 8-13), delta first; a match whose tuples sit in several deltas
+   is found once per such path, and the dedup collapses it.  Most deltas
+   meet an empty view somewhere, so that is checked ([empty j]) before
+   any operand is built. *)
+let join_deltas ~empty view deltas =
+  let k = Array.length deltas in
+  let results = ref [] and joined = ref 0 in
   Array.iteri
-    (fun i d -> if d <> [] then info.path_embs.(i) <- d @ info.path_embs.(i))
-    delta_embs;
-  let results = ref [] in
-  Array.iteri
-    (fun i delta_emb ->
-      if delta_emb <> [] then begin
-        let operands =
-          delta_emb
-          :: List.filter_map
-               (fun j -> if j = i then None else Some info.path_embs.(j))
-               (List.init k Fun.id)
-        in
-        results := Embjoin.join_many operands @ !results
+    (fun i delta ->
+      if delta <> [] then begin
+        let blocked = ref false in
+        for j = 0 to k - 1 do
+          if j <> i && empty j then blocked := true
+        done;
+        if not !blocked then begin
+          let others = List.init (k - 1) (fun j -> view (if j < i then j else j + 1)) in
+          incr joined;
+          results := Embjoin.join_views delta others @ !results
+        end
       end)
-    delta_embs;
-  List.filter Embedding.is_total (Embjoin.dedup !results)
+    deltas;
+  (* One joined delta yields distinct matches already. *)
+  let results = if !joined > 1 then Embjoin.dedup !results else !results in
+  List.filter Embedding.is_total results
 
-let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
+let view_is_empty info j = Relation.is_empty (Trie.node_view info.terminals.(j))
+
+(* New matches: the deltas are already in the views, so "other path"
+   operands see this round's tuples too. *)
+let query_new_matches t info deltas =
+  join_deltas ~empty:(view_is_empty info) (path_view t info) (embeddings_of_packs info deltas)
+
+(* Retractions: join each path's dead delta against the other paths'
+   views {e before} the update.  The shards have already evicted the dead
+   rows, so a pre-update view is rebuilt as the live view plus that path's
+   dead delta, less the rows this batch added ([added], [None] for a
+   single removal; dead and added rows are disjoint because each edge has
+   one net polarity).  Covering paths cover every pattern edge, so every
+   destroyed match projects onto a dead tuple of at least one path and its
+   other projections sit in the pre-update views: the join reconstructs
+   exactly the destroyed matches. *)
+let query_retractions t info ~added dead =
+  let dead = embeddings_of_packs info dead in
+  let minus =
+    match added with
+    | None -> Array.map (fun _ -> None) dead
+    | Some adds ->
+      Array.map
+        (function
+          | [] -> None
+          | embs ->
+            let tbl = Embedding.Tbl.create (2 * List.length embs) in
+            List.iter (fun em -> Embedding.Tbl.replace tbl em ()) embs;
+            Some tbl)
+        (embeddings_of_packs info adds)
+  in
+  join_deltas
+    ~empty:(fun j -> dead.(j) = [] && view_is_empty info j)
+    (fun j -> path_view ~plus:dead.(j) ?minus:minus.(j) t info j)
+    dead
+
+(* -- Gather and join ----------------------------------------------------------- *)
+
+let gather ?(sp = Tric_obs.Span.none) t per_shard =
   let t0 = match t.obs with Some _ -> Unix.gettimeofday () | None -> 0.0 in
   let per_query = merge_deltas t per_shard in
   (match t.obs with
@@ -335,43 +363,33 @@ let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
     Tric_obs.Histogram.observe o.o_gather_s (Unix.gettimeofday () -. t0);
     Tric_obs.Span.stage o.o_spans sp "gather"
   | None -> ());
+  per_query
+
+let by_qid l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
+
+(* The final cross-path joins of one round, on the coordinator after the
+   gather barrier: they read shard-owned views (and may build a TRIC+
+   view's column index), which no worker domain may do concurrently with
+   the shard tasks.  Serial, but timed as one task and filed in shard 0's
+   busy time, so the coordinator's self time keeps its meaning. *)
+let report ?(sp = Tric_obs.Span.none) t per_query =
   let t1 = match t.obs with Some _ -> Unix.gettimeofday () | None -> 0.0 in
-  (* Distribute the final cross-path joins over the domain pool by
-     hashing join ownership on the query id: group [g] owns the queries
-     with [qid mod nshards = g].  Each query appears in exactly one
-     group, [query_new_matches] touches only that query's [path_embs],
-     and the coordinator prefetches the query infos here, so tasks never
-     read the queries table — disjoint mutation, no synchronisation.
-     Per-query results are deterministic and the final sort fixes report
-     order, so grouping does not affect output. *)
-  let groups = Array.make t.nshards [] in
-  Hashtbl.iter
-    (fun qid deltas ->
-      let info = Hashtbl.find t.queries qid in
-      let g = qid mod t.nshards in
-      groups.(g) <- (qid, info, deltas) :: groups.(g))
-    per_query;
-  let gids = List.filter (fun g -> groups.(g) <> []) (List.init t.nshards Fun.id) in
-  let tasks =
-    Array.of_list
-      (List.map
-         (fun g () ->
-           List.filter_map
-             (fun (qid, info, deltas) ->
-               match query_new_matches info deltas with
-               | [] -> None
-               | matches -> Some (qid, matches))
-             groups.(g))
-         gids)
-  in
   let timed =
-    match t.pool with Some pool -> Pool.run pool tasks | None -> Pool.run_seq tasks
+    Pool.run_seq
+      [|
+        (fun () ->
+          Hashtbl.fold
+            (fun qid deltas acc ->
+              match query_new_matches t (Hashtbl.find t.queries qid) deltas with
+              | [] -> acc
+              | matches -> (qid, matches) :: acc)
+            per_query []);
+      |]
   in
-  List.iteri (fun i g -> t.busy.(g) <- t.busy.(g) +. snd timed.(i)) gids;
-  let out = List.concat_map (fun (res, _) -> res) (Array.to_list timed) in
+  let out, dt = timed.(0) in
+  t.busy.(0) <- t.busy.(0) +. dt;
   (match t.obs with
   | Some o ->
-    (* Telemetry strictly after the barrier, on the coordinator. *)
     List.iter
       (fun (_, matches) ->
         Tric_obs.Registry.add o.o_matches (List.length matches);
@@ -380,134 +398,50 @@ let report_of_deltas ?(sp = Tric_obs.Span.none) t per_shard =
     Tric_obs.Histogram.observe o.o_join_s (Unix.gettimeofday () -. t1);
     Tric_obs.Span.stage o.o_spans sp "join"
   | None -> ());
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) out
+  by_qid out
+
+let retractions ?added t dead_per_query =
+  Hashtbl.fold
+    (fun qid dead acc ->
+      let added = Option.bind added (fun tbl -> Hashtbl.find_opt tbl qid) in
+      match query_retractions t (Hashtbl.find t.queries qid) ~added dead with
+      | [] -> acc
+      | dead -> (qid, dead) :: acc)
+    dead_per_query []
+  |> by_qid
 
 (* -- Removal bookkeeping ----------------------------------------------------- *)
 
-(* The retraction mirror of [query_new_matches]: join each path's dead
-   delta against the other paths' cached results {e before} the caches
-   are subtracted.  Covering paths cover every pattern edge, so any live
-   match using the removed edge projects onto a dead tuple of at least
-   one path; the other paths' pre-subtraction caches still hold all of
-   its remaining projections iff the match was live — so the join
-   reconstructs exactly the destroyed matches.  A match whose edge dies
-   on several paths is found once per such path; the final dedup
-   collapses it. *)
-let query_retractions info deltas =
-  let k = Array.length info.paths in
-  let dead_embs =
-    Array.mapi
-      (fun i delta -> embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta)
-      deltas
-  in
-  let results = ref [] in
-  Array.iteri
-    (fun i dead ->
-      if dead <> [] then begin
-        let operands =
-          dead
-          :: List.filter_map
-               (fun j -> if j = i then None else Some info.path_embs.(j))
-               (List.init k Fun.id)
-        in
-        results := Embjoin.join_many operands @ !results
-      end)
-    dead_embs;
-  List.filter Embedding.is_total (Embjoin.dedup !results)
-
-(* Union several per-removal retraction channels into one sorted,
-   deduplicated (qid, embeddings) list. *)
-let merge_retraction_channels = function
-  | [] -> []
-  | [ one ] -> one
-  | lists ->
-    let tbl : (int, Embedding.t list ref) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (List.iter (fun (qid, embs) ->
-           match Hashtbl.find_opt tbl qid with
-           | Some cell -> cell := embs @ !cell
-           | None -> Hashtbl.add tbl qid (ref embs)))
-      lists;
-    Hashtbl.fold
-      (fun qid cell acc -> (qid, List.sort_uniq Embedding.compare !cell) :: acc)
-      tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* Per-query delta invalidation: subtract exactly the embeddings of the
-   tuples evicted at each registered terminal from the owning query's
-   cached per-path results.  Queries whose terminals lost nothing keep
-   their caches untouched.  Returns the set of touched query ids. *)
-let apply_removal_deltas t per_query =
-  let touched = ref [] in
-  Hashtbl.iter
-    (fun qid deltas ->
-      let info = Hashtbl.find t.queries qid in
-      let any = ref false in
-      Array.iteri
-        (fun i delta ->
-          match embeddings_of_packs ~width:info.width ~vids:info.path_vids.(i) delta with
-          | [] -> ()
-          | dead ->
-            any := true;
-            (* View tuples are distinct and tuple -> embedding is injective
-               for a fixed vid sequence, so the dead embeddings are distinct
-               and each occurs exactly once in the cached list; subtract one
-               occurrence per dead embedding. *)
-            let dead_tbl = Embedding.Tbl.create (2 * List.length dead) in
-            List.iter (fun em -> Embedding.Tbl.replace dead_tbl em ()) dead;
-            info.path_embs.(i) <-
-              List.filter
-                (fun em ->
-                  if Embedding.Tbl.mem dead_tbl em then begin
-                    Embedding.Tbl.remove dead_tbl em;
-                    false
-                  end
-                  else true)
-                info.path_embs.(i))
-        deltas;
-      if !any then touched := qid :: !touched)
-    per_query;
-  !touched
-
 (* Account one removal given its gathered per-shard deltas and the total
-   evicted-tuple count summed over shards.  Returns the removal's
-   retraction channel: per affected query (ascending id), the live
-   matches the eviction destroyed — computed against the pre-subtraction
-   caches, then the caches are subtracted. *)
+   evicted-tuple count summed over shards: queries whose terminals lost
+   nothing count as avoided invalidations. *)
 let account_removal t removed per_shard_deltas =
   t.removals <- t.removals + 1;
   t.tuples_removed <- t.tuples_removed + removed;
   if removed = 0 then begin
-    (* No-op removal (absent edge, or no view retained it): every cache
-       survives verbatim. *)
+    (* No-op removal (absent edge, or no view retained it). *)
     t.noop_removals <- t.noop_removals + 1;
-    t.invalidations_avoided <- t.invalidations_avoided + num_queries t;
-    []
+    t.invalidations_avoided <- t.invalidations_avoided + num_queries t
   end
   else begin
-    let per_query = merge_deltas t per_shard_deltas in
-    let retractions =
-      Hashtbl.fold
-        (fun qid deltas acc ->
-          let info = Hashtbl.find t.queries qid in
-          match query_retractions info deltas with
-          | [] -> acc
-          | dead -> (qid, dead) :: acc)
-        per_query []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    let touched = apply_removal_deltas t per_query in
+    let touched = Hashtbl.create 8 in
+    Array.iter
+      (List.iter (fun (qid, _, packed) ->
+           if Rows.packed_count packed > 0 && Hashtbl.mem t.queries qid then
+             Hashtbl.replace touched qid ()))
+      per_shard_deltas;
     t.invalidations_avoided <-
-      t.invalidations_avoided + (num_queries t - List.length touched);
-    retractions
+      t.invalidations_avoided + (num_queries t - Hashtbl.length touched)
   end
 
 let apply_removal ?(sp = Tric_obs.Span.none) t sids e =
   let results = dispatch ~sp t sids (fun sh -> Shard.apply_remove sh e) in
   let removed = Array.fold_left (fun acc (_, c) -> acc + c) 0 results in
-  let retractions = account_removal t removed (Array.map fst results) in
+  let deltas = Array.map fst results in
+  account_removal t removed deltas;
+  let retracted = if removed = 0 then [] else retractions t (merge_deltas t deltas) in
   span_stage t sp "subtract";
-  retractions
+  retracted
 
 let handle_update t u =
   (match t.obs with Some o -> Tric_obs.Registry.incr o.o_updates | None -> ());
@@ -523,19 +457,20 @@ let handle_update t u =
       ([], [])
     | sids ->
       let per_shard = dispatch ~sp t sids (fun sh -> Shard.apply_add sh e) in
-      (report_of_deltas ~sp t per_shard, []))
+      (report ~sp t (gather ~sp t per_shard), []))
   | Update.Remove e ->
     (match t.obs with Some o -> Tric_obs.Registry.incr o.o_removals | None -> ());
     let sp = span_start t "remove" in
-    let retractions =
+    let retracted =
       match route_op t e with
       | [] ->
         (* Still a removal for the accounting identities — just a provably
            no-op one. *)
-        account_removal t 0 [||]
+        account_removal t 0 [||];
+        []
       | sids -> apply_removal ~sp t sids e
     in
-    ([], retractions)
+    ([], retracted)
 
 (* -- Micro-batches ----------------------------------------------------------- *)
 
@@ -582,9 +517,9 @@ let handle_batch t updates =
      whole window's work for each targeted shard.  Within a task the
      shard applies its removals in order and then its additions as one
      amortised sweep; shard state is disjoint across shards, and the
-     coordinator below replays its cache subtractions removal by removal
-     before consuming any addition delta — exactly the sequential
-     schedule, whatever the shard interleaving in wall time. *)
+     coordinator below reads the views only after the barrier, when they
+     hold the post-batch state whatever the shard interleaving in wall
+     time. *)
   let rem_q = Array.make t.nshards [] in
   let add_q = Array.make t.nshards [] in
   let rem_targets =
@@ -624,47 +559,58 @@ let handle_batch t updates =
     active;
   (* Account removals in window order.  Shard [s]'s result array lists
      only the removals routed to [s], so walk each with a cursor; an
-     unrouted removal is a provable no-op and is accounted as such.
-     Per-removal retraction channels accumulate: once a removal retracts
-     a match, its cache support is subtracted, so a later removal in the
-     same window cannot retract it again — the union is duplicate-free
-     across removals and the merge only unions distinct matches per
-     query. *)
-  let retractions =
-    match removals with
-    | [] -> []
-    | _ ->
-      let cursor = Array.make t.nshards 0 in
-      let acc = ref [] in
-      List.iter2
-        (fun _e sids ->
-          let per =
-            List.map
-              (fun s ->
-                let slot = rem_res.(s).(cursor.(s)) in
-                cursor.(s) <- cursor.(s) + 1;
-                slot)
-              sids
-          in
-          let removed = List.fold_left (fun acc (_, c) -> acc + c) 0 per in
-          match account_removal t removed (Array.of_list (List.map fst per)) with
-          | [] -> ()
-          | retr -> acc := retr :: !acc)
-        removals rem_targets;
-      span_stage t sp "subtract";
-      merge_retraction_channels (List.rev !acc)
+     unrouted removal is a provable no-op and is accounted as such. *)
+  let cursor = Array.make t.nshards 0 in
+  let dead = ref [] in
+  List.iter
+    (fun sids ->
+      let per =
+        List.map
+          (fun s ->
+            let slot = rem_res.(s).(cursor.(s)) in
+            cursor.(s) <- cursor.(s) + 1;
+            slot)
+          sids
+      in
+      let removed = List.fold_left (fun acc (_, c) -> acc + c) 0 per in
+      let deltas = List.map fst per in
+      account_removal t removed (Array.of_list deltas);
+      if removed > 0 then dead := List.rev_append deltas !dead)
+    rem_targets;
+  let added =
+    match additions with
+    | [] -> None
+    | _ -> Some (gather ~sp t (Array.of_list (List.map (fun s -> add_res.(s)) active)))
   in
-  match additions with
-  | [] -> ([], retractions)
-  | _ ->
-    let per_shard = Array.of_list (List.map (fun s -> add_res.(s)) active) in
-    (report_of_deltas ~sp t per_shard, retractions)
+  (* Retractions once per batch, from the union of the removals' dead
+     deltas against the pre-batch views. *)
+  let retracted =
+    match !dead with
+    | [] -> []
+    | dead ->
+      let retracted = retractions ?added t (merge_deltas t (Array.of_list dead)) in
+      span_stage t sp "subtract";
+      retracted
+  in
+  match added with
+  | None -> ([], retracted)
+  | Some per_query -> (report ~sp t per_query, retracted)
 
 (* -- Probes ---------------------------------------------------------------- *)
 
 let current_matches t qid =
   let info = Hashtbl.find t.queries qid in
-  List.filter Embedding.is_total (Embjoin.join_many (Array.to_list info.path_embs))
+  let first = Trie.node_view info.terminals.(0) in
+  let acc =
+    Relation.fold
+      (fun tu acc ->
+        match Embedding.of_tuple ~width:info.width ~vids:info.path_vids.(0) tu with
+        | Some e -> e :: acc
+        | None -> acc)
+      first []
+  in
+  let others = List.init (Array.length info.paths - 1) (fun j -> path_view t info (j + 1)) in
+  List.filter Embedding.is_total (Embjoin.join_views acc others)
 
 let covering_paths t qid =
   let info = Hashtbl.find t.queries qid in
@@ -762,7 +708,6 @@ type query_view = {
   qv_path_shards : int array;
   qv_terminals : Trie.node array;
   qv_width : int;
-  qv_path_embs : Embedding.t list array;
 }
 
 let query_views (t : t) =
@@ -776,7 +721,6 @@ let query_views (t : t) =
           qv_path_shards = info.path_shards;
           qv_terminals = info.terminals;
           qv_width = info.width;
-          qv_path_embs = Array.copy info.path_embs;
         } )
       :: acc)
     t.queries []
@@ -795,20 +739,6 @@ module Corrupt = struct
         match acc with Some (q, _) when q <= qid -> acc | _ -> Some (qid, info))
       t.queries None
 
-  let skew_path_cache t =
-    match first_query t with
-    | None -> false
-    | Some (_, info) ->
-      let skewed = ref false in
-      Array.iteri
-        (fun i embs ->
-          if (not !skewed) && embs <> [] then begin
-            info.path_embs.(i) <- List.tl embs;
-            skewed := true
-          end)
-        info.path_embs;
-      !skewed
-
   let desync_stats (t : t) = t.tuples_removed <- t.tuples_removed + 1
 
   let drop_registration t =
@@ -821,22 +751,11 @@ module Corrupt = struct
        true)
 
   let phantom_view_tuple (t : t) =
-    (* Prefer an unregistered (non-terminal) node so only the
-       view-coherence invariant trips, not the per-query caches that
-       mirror terminal views. *)
+    (* Any node will do: terminal views are read in place, so a phantom
+       anywhere trips exactly the view-coherence invariant. *)
     let pick =
-      Array.fold_left
-        (fun acc sh ->
-          Trie.fold_nodes
-            (fun n acc ->
-              match acc with
-              | Some best ->
-                if Trie.registrations best <> [] && Trie.registrations n = [] then
-                  Some n
-                else acc
-              | None -> Some n)
-            (Shard.forest sh) acc)
-        None t.shards
+      Array.to_list t.shards
+      |> List.find_map (fun sh -> List.nth_opt (Trie.roots (Shard.forest sh)) 0)
     in
     match pick with
     | None -> false

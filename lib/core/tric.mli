@@ -10,8 +10,10 @@
     keys is visited shallow-first; the update is joined against the parent's
     materialized view and the resulting delta is propagated down the
     sub-trie (pruning branches whose delta dies out).  Queries registered at
-    nodes that gained tuples are candidates; their covering-path views are
-    joined — delta view first — to produce the update's new embeddings.
+    nodes that gained tuples are candidates; each path delta is joined
+    against the other covering paths' terminal views, read in place, to
+    produce the update's new embeddings.  The engine keeps no copy of any
+    view outside the trie.
 
     [cache:true] gives TRIC+ (§4.2 "Caching"): hash-join build structures
     are kept and maintained incrementally instead of being rebuilt per join
@@ -23,11 +25,11 @@
     bitmaps of its four generalised keys, maintained at {!add_query}
     time — in parallel on a domain pool ({!Tric_exec.Pool}).  The
     coordinator gathers the per-shard terminal deltas in ascending shard
-    order and fans the final per-query cross-path joins back out across
-    the pool (join ownership hashed on [qid mod shards]), so reports and
-    maintained state are identical to the sequential ([shards:1]) engine
-    on any stream while per-op dispatch cost tracks {e affected} shards,
-    not shard count. *)
+    order and runs the final per-query cross-path joins itself, after the
+    barrier, reading the views on the shards that own them, so reports
+    and maintained state are identical to the sequential ([shards:1])
+    engine on any stream while per-op dispatch cost tracks {e affected}
+    shards, not shard count. *)
 
 open Tric_graph
 open Tric_query
@@ -58,12 +60,14 @@ val num_shards : t -> int
 
 val busy_s : t -> float
 (** Total seconds pool tasks have spent executing — shard update tasks
-    plus the distributed cross-path join tasks, summed over shards — the
+    summed over shards, plus the coordinator's final cross-path joins
+    (filed under shard 0) — the
     work-time counterpart to the caller's wall-clock measurement
     (busy/wall > 1 means the domains actually ran in parallel). *)
 
 val busy_times : t -> float array
-(** Per-shard busy seconds, index = shard id. *)
+(** Per-shard busy seconds, index = shard id; shard 0's include the final
+    joins. *)
 
 val metrics_enabled : t -> bool
 
@@ -104,13 +108,12 @@ val handle_update :
     addition, [matches] lists, per satisfied query id (ascending), the
     new total embeddings created by this update ([retractions] is []).
     For a removal, all views are pruned by prefix-indexed downward
-    propagation (§4.3) and exactly the evicted terminal tuples are
-    subtracted from the owning queries' cached per-path embeddings —
-    queries untouched by the removal keep their caches, and a no-op
+    propagation (§4.3); nothing else needs subtracting, and a no-op
     removal (absent edge) touches nothing.  [retractions] lists, per
     affected query id (ascending), the previously-live matches the
     removal destroyed: each dead per-path delta joined against the other
-    paths' pre-subtraction caches ([matches] is []). *)
+    paths' pre-removal views — the live view plus that path's dead delta
+    ([matches] is []). *)
 
 val handle_batch :
   t -> Update.t list -> (int * Embedding.t list) list * (int * Embedding.t list) list
@@ -132,9 +135,10 @@ val handle_batch :
     the new embeddings the window created {e net of the window itself} —
     matches both created and destroyed inside the same batch are
     cancelled and never reported — and, per affected query id, the
-    previously-live matches the window's net removals destroyed
-    (accumulated removal by removal in window order, so nothing is
-    retracted twice). *)
+    previously-live matches the window's net removals destroyed —
+    computed once per batch from the union of the dead deltas against the
+    pre-batch views (live view, less the window's added rows, plus the
+    dead ones), so nothing is retracted twice. *)
 
 val current_matches : t -> int -> Embedding.t list
 (** Probe: the query's full current result, recomputed by joining its
@@ -164,9 +168,9 @@ type stats = {
   noop_removals : int;  (** removals that evicted no tuple anywhere *)
   tuples_removed : int;  (** view tuples evicted by deletions *)
   invalidations_avoided : int;
-      (** per-query embedding caches left untouched by removals (summed per
-          removal over live queries) — the work the old global-epoch
-          invalidation would have redone *)
+      (** live queries whose terminals lost nothing to a removal (summed
+          per removal) — the work the old global-epoch invalidation would
+          have redone *)
   delta_probes : int;
       (** prefix/hinge index lookups serving the deletion path, each
           replacing a full-view scan *)
@@ -215,9 +219,6 @@ type query_view = {
           [Route.owner] of the path word's first key (routing-coherence) *)
   qv_terminals : Trie.node array;  (** per path: its trie terminal *)
   qv_width : int;  (** pattern vertex count *)
-  qv_path_embs : Embedding.t list array;
-      (** per path: the cached partial-embedding mirror of the terminal
-          view (a shallow copy of the engine's list — safe to consume) *)
 }
 
 val query_views : t -> (int * query_view) list
@@ -236,10 +237,6 @@ val is_caching : t -> bool
     invariant class so the mutation tests can prove the audit detects it.
     Never call these outside tests. *)
 module Corrupt : sig
-  val skew_path_cache : t -> bool
-  (** Drop one embedding from some query's cached per-path results
-      (cache-coherence).  [false] if every cache is empty. *)
-
   val desync_stats : t -> unit
   (** Bump [tuples_removed] without removing anything (stats). *)
 
@@ -248,9 +245,9 @@ module Corrupt : sig
       query (registration).  [false] if no query is indexed. *)
 
   val phantom_view_tuple : t -> bool
-  (** Insert an out-of-thin-air tuple into a node view — preferring an
-      unregistered node — so the view is no longer re-derivable from the
-      base views (view-coherence).  [false] if the forest is empty. *)
+  (** Insert an out-of-thin-air tuple into some node view, so the view is
+      no longer re-derivable from the base views (view-coherence).
+      [false] if the forest is empty. *)
 
   val misroute_path : t -> bool
   (** Re-index some query's first covering path on a shard other than its

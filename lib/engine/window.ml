@@ -9,11 +9,14 @@ open Tric_query
 type group = {
   spec : Wspec.t option;  (* None = unbounded pass-through *)
   inner : Matcher.t;
-  (* Count windows: arrival order as a queue of edges plus per-edge live
-     queue-cell counts.  Refreshing a duplicate enqueues a newer cell and
-     marks the older stale (lazy deletion) instead of scanning. *)
-  order : Edge.t Queue.t;
+  (* Count windows: arrival order as a queue of stamped cells plus each
+     live edge's newest stamp.  Refreshing a duplicate enqueues a newer
+     cell; a cell whose stamp is not its edge's current one is stale
+     (refreshed, or removed and perhaps re-added since) and is skipped on
+     eviction (lazy deletion) instead of scanning. *)
+  order : (int * Edge.t) Queue.t;
   cells : int Edge.Tbl.t;
+  mutable stamp : int;  (* last stamp issued *)
   mutable bucket : int;  (* tumbling count: additions in the open bucket *)
   (* Time windows: edge -> expiry deadline, plus a lazily-invalidated
      min-heap of (deadline, edge) so each watermark advance pops exactly
@@ -86,6 +89,7 @@ let new_group t spec =
       inner = t.factory ();
       order = Queue.create ();
       cells = Edge.Tbl.create 256;
+      stamp = 0;
       bucket = 0;
       deadline = Edge.Tbl.create 256;
       heap = [||];
@@ -168,16 +172,12 @@ let rec evict_excess g size acc =
   else
     match Queue.take_opt g.order with
     | None -> List.rev acc
-    | Some e -> (
+    | Some (s, e) -> (
       match Edge.Tbl.find_opt g.cells e with
-      | None -> evict_excess g size acc (* explicitly removed earlier *)
-      | Some n when n > 1 ->
-        (* Stale cell: the edge was refreshed later in the queue. *)
-        Edge.Tbl.replace g.cells e (n - 1);
-        evict_excess g size acc
-      | Some _ ->
+      | Some s' when s' = s ->
         Edge.Tbl.remove g.cells e;
-        evict_excess g size (e :: acc))
+        evict_excess g size (e :: acc)
+      | Some _ | None -> evict_excess g size acc)
 
 let flush_bucket g =
   let expired = Edge.Tbl.fold (fun e _ acc -> e :: acc) g.cells [] in
@@ -201,16 +201,13 @@ let retain t g (u : Update.t) =
     | None ->
       Edge.Tbl.replace g.cells e 1;
       []
-    | Some (Wspec.Count { shape = Wspec.Sliding; size }) -> (
-      Queue.add e g.order;
-      match Edge.Tbl.find_opt g.cells e with
-      | Some n ->
-        (* Refresh: the newer cell supersedes the older. *)
-        Edge.Tbl.replace g.cells e (n + 1);
-        []
-      | None ->
-        Edge.Tbl.add g.cells e 1;
-        if t.suppress_expiry then [] else evict_excess g size [])
+    | Some (Wspec.Count { shape = Wspec.Sliding; size }) ->
+      g.stamp <- g.stamp + 1;
+      Queue.add (g.stamp, e) g.order;
+      let fresh = not (Edge.Tbl.mem g.cells e) in
+      (* A refresh's newer stamp supersedes the older cell. *)
+      Edge.Tbl.replace g.cells e g.stamp;
+      if fresh && not t.suppress_expiry then evict_excess g size [] else []
     | Some (Wspec.Count { shape = Wspec.Tumbling; size }) ->
       let expired =
         if g.bucket >= size && not t.suppress_expiry then flush_bucket g else []

@@ -51,6 +51,33 @@ let bind_packed e ~vids p i =
 
 let of_packed ~width ~vids p i = bind_packed (empty width) ~vids p i
 
+(* Row-reader counterpart: check every column before copying, so a join
+   hit that conflicts (a shared vid, or a repeated variable within the
+   path) allocates nothing. *)
+let bind_cells e ~vids cell src row =
+  let ok = ref true and fresh = ref false in
+  Array.iteri
+    (fun c vid ->
+      let li = Label.to_int (cell src row c) in
+      if e.(vid) = unbound then fresh := true else if e.(vid) <> li then ok := false)
+    vids;
+  if not !ok then None
+  else if not !fresh then Some e
+  else begin
+    let e' = Array.copy e in
+    let ok = ref true in
+    Array.iteri
+      (fun c vid ->
+        let li = Label.to_int (cell src row c) in
+        if e'.(vid) = unbound then e'.(vid) <- li else if e'.(vid) <> li then ok := false)
+      vids;
+    if !ok then Some e' else None
+  end
+
+let bound e vid =
+  if e.(vid) = unbound then invalid_arg "Embedding.bound: unbound vid";
+  Label.of_int e.(vid)
+
 let merge a b =
   if Array.length a <> Array.length b then invalid_arg "Embedding.merge: width mismatch";
   let out = Array.copy a in

@@ -40,6 +40,15 @@ val bind_packed : t -> vids:int array -> Rows.packed -> int -> t option
 val of_packed : width:int -> vids:int array -> Rows.packed -> int -> t option
 (** [bind_packed (empty width)]. *)
 
+val bind_cells :
+  t -> vids:int array -> ('r -> int -> int -> Label.t) -> 'r -> int -> t option
+(** [bind_cells e ~vids cell src row] binds [vids.(c)] to [cell src row c]
+    for every column [c] — a row of a materialized view, read in place
+    through its owner's accessor.  A conflicting row allocates nothing. *)
+
+val bound : t -> int -> Label.t
+(** The label bound to a vid.  @raise Invalid_argument if unbound. *)
+
 val merge : t -> t -> t option
 (** Consistent union of two partial embeddings over the same pattern. *)
 

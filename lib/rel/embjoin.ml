@@ -1,3 +1,4 @@
+open Tric_graph
 module Int_set = Set.Make (Int)
 
 let bound_set = function
@@ -69,6 +70,20 @@ let join left right =
       dedup results
     end
 
+(* Join-order heuristic shared by both multi-way joins: maximise shared
+   vids (selective joins first), break ties towards the smaller operand
+   (cheaper join) — cardinality-aware ordering in the spirit of the
+   paper's workload-statistics outlook.  Earlier operands win ties. *)
+let pick_next ~vids ~size acc_vids remaining =
+  let score x = (Int_set.cardinal (Int_set.inter (vids x) acc_vids), -size x) in
+  let better (s1, n1) (s2, n2) = s1 > s2 || (s1 = s2 && n1 > n2) in
+  List.fold_left
+    (fun best cand ->
+      match best with
+      | None -> Some cand
+      | Some b -> if better (score cand) (score b) then Some cand else best)
+    None remaining
+
 let join_many operands =
   match operands with
   | [] -> []
@@ -79,23 +94,12 @@ let join_many operands =
       let acc = ref first in
       let acc_vids = ref (bound_set first) in
       while !remaining <> [] do
-        (* Join-order heuristic: maximise shared vids (selective joins
-           first), break ties towards the smaller operand (cheaper build
-           side) — cardinality-aware ordering in the spirit of the
-           paper's workload-statistics outlook. *)
-        let score (_, l, vids) =
-          (Int_set.cardinal (Int_set.inter vids !acc_vids), -List.length l)
-        in
-        let better (s1, n1) (s2, n2) = s1 > s2 || (s1 = s2 && n1 > n2) in
-        let best =
-          List.fold_left
-            (fun best cand ->
-              match best with
-              | None -> Some cand
-              | Some b -> if better (score cand) (score b) then Some cand else best)
-            None !remaining
-        in
-        match best with
+        match
+          pick_next
+            ~vids:(fun (_, _, v) -> v)
+            ~size:(fun (_, l, _) -> List.length l)
+            !acc_vids !remaining
+        with
         | None -> remaining := []
         | Some (i, l, vids) ->
           acc := join !acc l;
@@ -105,3 +109,107 @@ let join_many operands =
       done;
       !acc
     end
+
+(* -- Joins against views read in place ---------------------------------------- *)
+
+type 'r view = {
+  src : 'r;
+  vids : int array;
+  size : int;
+  cell : 'r -> int -> int -> Label.t;
+  iter : (int -> unit) -> 'r -> unit;
+  probe : ('r -> col:int -> Label.t -> Rows.Vec.t option) option;
+  plus : Embedding.t list;
+  minus : unit Embedding.Tbl.t option;
+}
+
+let view ?(plus = []) ?minus ?probe ~vids ~size ~cell ~iter src =
+  { src; vids; size = size + List.length plus; cell; iter; probe; plus; minus }
+
+(* The view's last column whose vid the accumulated side binds: the
+   probe column of TRIC+ and the table key of TRIC.  Taking the last one
+   favours a terminal's hinge column, whose index the trie descent may
+   already maintain. *)
+let key_col v acc_vids =
+  let c = ref (-1) in
+  Array.iteri (fun i vid -> if Int_set.mem vid acc_vids then c := i) v.vids;
+  !c
+
+(* One join step: every accumulated embedding against [v]'s live rows
+   (less [minus], plus [plus]).  All embeddings of [acc] bind the same
+   vids and view rows are distinct, so a merged result determines its
+   (embedding, row) pair: no step produces a duplicate. *)
+let join_view acc acc_vids v =
+  let out = ref [] in
+  let keep row =
+    match v.minus with
+    | None -> true
+    | Some minus -> (
+      let none = Embedding.empty (Embedding.width (List.hd acc)) in
+      match Embedding.bind_cells none ~vids:v.vids v.cell v.src row with
+      | Some own -> not (Embedding.Tbl.mem minus own)
+      | None -> true)
+  in
+  let merge e row =
+    match Embedding.bind_cells e ~vids:v.vids v.cell v.src row with
+    | Some m when keep row -> out := m :: !out
+    | Some _ | None -> ()
+  in
+  let col = key_col v acc_vids in
+  (if col < 0 then
+     (* Cartesian product; rare (paths of a connected pattern normally
+        intersect) but required for completeness. *)
+     v.iter (fun row -> List.iter (fun e -> merge e row) acc) v.src
+   else
+     let vid = v.vids.(col) in
+     match v.probe with
+     | Some probe ->
+       (* TRIC+: probe the view's maintained column index per embedding. *)
+       List.iter
+         (fun e ->
+           match probe v.src ~col (Embedding.bound e vid) with
+           | None -> ()
+           | Some bucket ->
+             for i = 0 to Rows.Vec.length bucket - 1 do
+               merge e (Rows.Vec.get bucket i)
+             done)
+         acc
+     | None ->
+       (* TRIC: build on the accumulated (delta) side, scan the view. *)
+       let table = Label.Tbl.create (2 * List.length acc) in
+       List.iter
+         (fun e ->
+           let k = Embedding.bound e vid in
+           Label.Tbl.replace table k
+             (e :: Option.value ~default:[] (Label.Tbl.find_opt table k)))
+         acc;
+       v.iter
+         (fun row ->
+           match Label.Tbl.find_opt table (v.cell v.src row col) with
+           | None -> ()
+           | Some mates -> List.iter (fun e -> merge e row) mates)
+         v.src);
+  match v.plus with [] -> !out | plus -> join acc plus @ !out
+
+let join_views acc views =
+  if views = [] then acc
+  else if acc = [] || List.exists (fun v -> v.size = 0) views then []
+  else begin
+    let acc = ref acc and acc_vids = ref (bound_set acc) in
+    let remaining =
+      ref (List.mapi (fun i v -> (i, v, Int_set.of_list (Array.to_list v.vids))) views)
+    in
+    while !remaining <> [] do
+      match
+        pick_next ~vids:(fun (_, _, s) -> s) ~size:(fun (_, v, _) -> v.size) !acc_vids
+          !remaining
+      with
+      | None -> remaining := []
+      | Some (i, v, vids) ->
+        acc := join_view !acc !acc_vids v;
+        acc_vids := Int_set.union !acc_vids vids;
+        remaining := List.filter (fun (j, _, _) -> j <> i) !remaining;
+        if !acc = [] then remaining := []
+    done;
+    !acc
+  end

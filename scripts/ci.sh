@@ -94,6 +94,9 @@ done
 # shards own nothing — the skewed-ownership regime targeted routing and
 # batched dispatch must survive unchanged.
 audit_sharded 8 --engine TRIC --batch 32
+# The final join's whole removal path at once: window expiries and churn
+# retracted batch-wise against views read in place on two shards.
+audit_sharded 2 --engine TRIC+ --batch 32 --window 1h
 # Telemetry: a metrics-enabled audited churn replay (4 shards) exporting
 # its merged snapshot, which is then re-parsed and schema-checked by the
 # stats subcommand's strict validator.

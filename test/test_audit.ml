@@ -59,11 +59,6 @@ let test_clean_zero_findings () =
         0 (List.length findings))
     [ false; true ]
 
-let test_skewed_cache_detected () =
-  let t, edges = build ~cache:true () in
-  Alcotest.(check bool) "cache skewed" true (Tric.Corrupt.skew_path_cache t);
-  check_classes "only cache-coherence trips" [ "cache-coherence" ] (Audit.check ~edges t)
-
 let test_dropped_registration_detected () =
   let t, edges = build () in
   Alcotest.(check bool) "registration dropped" true (Tric.Corrupt.drop_registration t);
@@ -243,7 +238,6 @@ let test_invidx_seen_set_divergence () =
 let suite =
   [
     Alcotest.test_case "clean state reports zero findings" `Quick test_clean_zero_findings;
-    Alcotest.test_case "skewed path cache detected" `Quick test_skewed_cache_detected;
     Alcotest.test_case "dropped registration detected" `Quick test_dropped_registration_detected;
     Alcotest.test_case "phantom view tuple detected" `Quick test_phantom_view_tuple_detected;
     Alcotest.test_case "desynced engine stats detected" `Quick test_desynced_engine_stats_detected;

@@ -3,7 +3,8 @@
    The engines' shared claim — the same answers under the same semantics —
    is checked by one differential matrix: one generator ([gen_case]), one
    oracle stepper ([step]: the naive evaluator, with an explicit removal
-   injected for every window expiry) and one per-step checker ([run]),
+   injected for every window expiry and late additions dropped) and one
+   per-step checker ([run]),
    driven by the rows of [matrix]:
 
      row                                engines (@shards, b = batched)      window        churn
@@ -15,10 +16,10 @@
      sharded handle_batch ...           TRIC @1/2/4/8 b, TRIC+ @4 b         none          yes
      packed row-store ...               TRIC @1, TRIC+ @4, TRIC+ @1 b,      none, drain   yes
                                         TRIC @4 b
-     window engine = suffix             TRIC @1                             6 EVENTS      no
-     windowed TRIC/TRIC+ ... (six)      TRIC @1, TRIC @1 b, TRIC+ @1,       8s            yes
+     window engine = suffix             TRIC @1                             6 EVENTS      yes
+     windowed TRIC/TRIC+ ... (six)      TRIC @1, TRIC @1 b, TRIC+ @1,       8s, late      yes
                                         TRIC+ @4, TRIC+ @1 b, TRIC+ @4 b
-     per-query WITHIN, no default       TRIC+ @2 (clause on each query)     8s            yes
+     per-query WITHIN, no default       TRIC+ @2 (clause on each query)     8s, late      yes
 
    The checker asserts, for every engine of a row:
    - per-update engines: each report equals the oracle's, except when the
@@ -96,9 +97,11 @@ let build_pattern ~id spec =
 (* One case: up to [queries] (default 3) queries, a stream of up to
    [updates] (default 60) updates over a 3-label, 4-constant vocabulary
    (so removals of live edges, no-op removals of absent ones and re-adds
-   all occur constantly), each with a gap to the previous event time,
-   and a micro-batch size.  [churn] draws removals; [timed] draws gaps up
-   to 5 (else every event time is 0). *)
+   all occur constantly), each with a time offset, and a micro-batch
+   size.  [churn] draws removals; [timed] draws offsets: mostly a gap of
+   up to 5 that advances the stream clock, one in five a lag of up to 6
+   behind it — a late event once the watermark has passed it (else every
+   event time is 0). *)
 let gen_case ?(queries = 3) ?(updates = 60) ~churn ~timed () =
   QCheck2.Gen.(
     triple
@@ -110,7 +113,8 @@ let gen_case ?(queries = 3) ?(updates = 60) ~churn ~timed () =
                (int_bound (List.length elabels - 1))
                (int_bound (List.length vconsts - 1))
                (int_bound (List.length vconsts - 1)))
-            (if timed then int_range 0 5 else pure 0)))
+            (if timed then frequency [ (4, int_range 0 5); (1, int_range (-6) (-1)) ]
+             else pure 0)))
       (int_range 1 10))
 
 (* The connected patterns of a case, ids from 1. *)
@@ -124,15 +128,18 @@ let queries_of qspecs =
     qspecs
   |> List.filter_map Fun.id
 
+(* A non-negative offset advances the clock; a negative one stamps the
+   event that far behind it without moving it. *)
 let updates_of ops =
-  let ts = ref 0 in
+  let clock = ref 0 in
   List.map
-    (fun ((add, li, si, di), gap) ->
-      ts := !ts + gap;
+    (fun ((add, li, si, di), offset) ->
+      if offset >= 0 then clock := !clock + offset;
+      let ts = !clock + min offset 0 in
       let e =
         Edge.of_strings (List.nth elabels li) (List.nth vconsts si) (List.nth vconsts di)
       in
-      if add then Update.add ~ts:!ts e else Update.remove ~ts:!ts e)
+      if add then Update.add ~ts e else Update.remove ~ts e)
     ops
 
 let print_case (qspecs, ops, batch) =
@@ -191,27 +198,37 @@ let expiring o (u : Update.t) =
     Option.to_list oldest
   | _ -> []
 
+(* A time window drops an addition behind its watermark whole, exactly as
+   [Window.is_late] (slack 0); removals are never late. *)
+let is_late o (u : Update.t) =
+  match o.spec with
+  | Some (Wspec.Time _) -> Update.is_addition u && o.wm > min_int && u.Update.ts < o.wm
+  | _ -> false
+
 (* Replay one update, expiry removals first; returns the expired edges
    and the merged report. *)
 let step o (u : Update.t) =
-  let expired = expiring o u in
-  let retractions =
-    List.map
-      (fun e ->
-        Edge.Tbl.remove o.live e;
-        naive_update o (Update.remove e))
-      expired
-  in
-  (match u.Update.op with
-  | Update.Add e ->
-    o.arrivals <- o.arrivals + 1;
-    Edge.Tbl.replace o.live e
-      (match o.spec with
-      | Some (Wspec.Time _ as s) -> Wspec.deadline s ~ts:u.Update.ts
-      | _ -> o.arrivals)
-  | Update.Remove e -> Edge.Tbl.remove o.live e);
-  let trigger = naive_update o u in
-  (expired, E.Report.merge (retractions @ [ trigger ]))
+  if is_late o u then ([], E.Report.empty)
+  else begin
+    let expired = expiring o u in
+    let retractions =
+      List.map
+        (fun e ->
+          Edge.Tbl.remove o.live e;
+          naive_update o (Update.remove e))
+        expired
+    in
+    (match u.Update.op with
+    | Update.Add e ->
+      o.arrivals <- o.arrivals + 1;
+      Edge.Tbl.replace o.live e
+        (match o.spec with
+        | Some (Wspec.Time _ as s) -> Wspec.deadline s ~ts:u.Update.ts
+        | _ -> o.arrivals)
+    | Update.Remove e -> Edge.Tbl.remove o.live e);
+    let trigger = naive_update o u in
+    (expired, E.Report.merge (retractions @ [ trigger ]))
+  end
 
 (* -- The checker ------------------------------------------------------------- *)
 
@@ -445,7 +462,7 @@ let matrix =
           engine ~batched:true "TRIC+";
           engine ~shards:4 ~batched:true "TRIC";
         ];
-      row ~churn:false ~count:60
+      row ~count:60
         ~window:(Default (Wspec.Count { shape = Wspec.Sliding; size = 6 }))
         "window engine = evaluation over suffix" [ engine "TRIC" ];
       windowed ~count:20 ~cache:false ~shards:1 ~batched:false;

@@ -27,6 +27,34 @@ let test_evict_retraction_reported () =
   Alcotest.(check int) "engine state empty" 0
     (List.length (E.Window.current_matches w 1))
 
+(* Regression: a sliding count window took the stale queue cell of an
+   edge that was removed and re-added for the live one, evicting the
+   re-added edge instead of the oldest and never retracting the oldest's
+   match.  The shrunk counterexample: [?x0 -a-> ?x0] in 6 EVENTS with
+   a=(v4,v2) added, removed and re-added around the self-loop that
+   matches; the window must overflow on the self-loop, not on a=(v4,v2). *)
+let test_readded_edge_not_evicted_early () =
+  let queries = [ Helpers.pattern ~id:1 "?x0 -a-> ?x0" ] in
+  let stream =
+    Helpers.updates
+      [
+        "v4 -a-> v2"; "- v4 -a-> v2"; "v1 -a-> v1"; "v4 -a-> v2"; "v1 -a-> v2"; "v1 -a-> v3";
+        "v2 -a-> v3"; "v3 -a-> v4"; "v2 -a-> v1";
+      ]
+  in
+  let spec = Wspec.Count { shape = Wspec.Sliding; size = 6 } in
+  Test_properties.(
+    run
+      ~engines:[ engine "TRIC"; engine "TRIC+"; engine ~batched:true "TRIC+" ]
+      ~window:(Default spec) ~drain:false ~batch:1 queries stream);
+  let w = Helpers.count_window 6 (fun () -> E.Engines.tric ~cache:true ()) in
+  E.Window.add_query w (List.hd queries);
+  let reports = List.map (E.Window.handle_update w) stream in
+  Alcotest.(check int) "the overflow retracts the self-loop's match" 1
+    (E.Report.total_retractions (List.nth reports 8));
+  Alcotest.(check int) "no match left" 0 (List.length (E.Window.current_matches w 1));
+  Alcotest.(check int) "window full" 6 (E.Window.live_edges w)
+
 let test_time_window_expiry () =
   let w = E.Window.make (fun () -> E.Engines.tric ~cache:true ()) in
   E.Window.add_query w (wpattern ~id:1 "?x -a-> ?y -b-> ?z WITHIN 10s");
@@ -211,6 +239,8 @@ let suite =
   [
     Alcotest.test_case "eviction retraction reported" `Quick
       test_evict_retraction_reported;
+    Alcotest.test_case "re-added edge not evicted early" `Quick
+      test_readded_edge_not_evicted_early;
     Alcotest.test_case "time window expiry at watermark" `Quick test_time_window_expiry;
     Alcotest.test_case "late additions dropped, late removals applied" `Quick
       test_late_updates;
